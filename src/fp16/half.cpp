@@ -4,6 +4,10 @@
 #include <cmath>
 #include <ostream>
 
+#if defined(PD_F16C_DISPATCH)
+#include <immintrin.h>
+#endif
+
 namespace pd {
 
 std::uint16_t float_to_half_bits(float value) {
@@ -73,14 +77,72 @@ std::uint16_t float_to_half_bits(float value) {
 Half::Half(float value) : bits_(float_to_half_bits(value)) {}
 
 Half::Half(double value)
-    // Double -> half via float is correctly rounded for every double whose
-    // magnitude is representable without double rounding hazards in our use
-    // (matrix entries are bounded, and the hazard window around half-ULP
-    // boundaries of binary32 cannot change the binary16 RNE result because
-    // binary32 keeps 13 extra mantissa bits beyond binary16).
+    // Double -> half via float rounds twice.  Binary32 keeps 13 more
+    // mantissa bits than binary16, but a double within half a binary32 ulp
+    // of a binary16 midpoint still rounds onto the midpoint first and then
+    // ties to even, so the result is not always correctly rounded
+    // (Half(1 + 2^-11 + 2^-40) is 0x3c00, not 0x3c01).  Every stored matrix
+    // half and golden number depends on this, so it stays as it is.
     : bits_(float_to_half_bits(static_cast<float>(value))) {}
 
 Half::Half(int value) : Half(static_cast<double>(value)) {}
+
+namespace {
+
+void convert_to_half_scalar(const double* in, std::size_t n, Half* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = Half(in[i]);
+  }
+}
+
+#if defined(PD_F16C_DISPATCH)
+/// Eight values per step along Half(double)'s own path.  VCVTPD2PS rounds
+/// under MXCSR exactly like the scalar static_cast<float>, and VCVTPS2PH with
+/// _MM_FROUND_TO_NEAREST_INT is float_to_half_bits' round-to-nearest-even on
+/// every non-NaN binary32 value.  NaN payloads are where the two converters
+/// differ (a signalling binary32 NaN with its payload in the low 13 bits
+/// becomes 0x7e00 in hardware and 0x7e01 in float_to_half_bits), so a block
+/// holding a NaN is converted by the scalar code and keeps its encoding by
+/// construction.
+__attribute__((target("f16c"))) void convert_to_half_f16c(const double* in,
+                                                          std::size_t n,
+                                                          Half* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d lo = _mm256_loadu_pd(in + i);
+    const __m256d hi = _mm256_loadu_pd(in + i + 4);
+    const __m256d nan = _mm256_or_pd(_mm256_cmp_pd(lo, lo, _CMP_UNORD_Q),
+                                     _mm256_cmp_pd(hi, hi, _CMP_UNORD_Q));
+    if (_mm256_movemask_pd(nan) != 0) {
+      convert_to_half_scalar(in + i, 8, out + i);
+      continue;
+    }
+    const __m256 f =
+        _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm256_cvtps_ph(f, _MM_FROUND_TO_NEAREST_INT));
+  }
+  // Clear the upper YMM halves before the scalar tail and the return.  GCC 12
+  // omits the VZEROUPPER on the path through the out-of-line scalar call, and
+  // dirty upper state makes every later legacy-SSE instruction of the thread
+  // pay a merge penalty: the scalar Monte Carlo generation that followed ran
+  // 2.7x slower in CPU time.
+  _mm256_zeroupper();
+  convert_to_half_scalar(in + i, n - i, out + i);
+}
+#endif
+
+}  // namespace
+
+void convert_to_half(const double* in, std::size_t n, Half* out) {
+#if defined(PD_F16C_DISPATCH)
+  if (kHaveF16c) {
+    convert_to_half_f16c(in, n, out);
+    return;
+  }
+#endif
+  convert_to_half_scalar(in, n, out);
+}
 
 bool Half::is_nan() const {
   return ((bits_ & 0x7c00u) == 0x7c00u) && ((bits_ & 0x3ffu) != 0);

@@ -6,18 +6,36 @@
 // input/output vectors in double.  CUDA provides `__half` in hardware; on this
 // substrate we implement binary16 in software with bit-exact conversions:
 //  * half -> float/double conversion is exact (binary16 ⊂ binary32 ⊂ binary64),
-//  * float/double -> half rounds to nearest, ties to even,
+//  * float -> half rounds to nearest, ties to even,
+//  * double -> half is float -> half applied to static_cast<float>(x), so it
+//    rounds twice and is not always correctly rounded: a double just above a
+//    half midpoint can round onto the midpoint in binary32 and then tie to
+//    even (Half(1 + 2^-11 + 2^-40) is 0x3c00; correct rounding gives 0x3c01).
+//    Every stored matrix half depends on this behaviour, so it is kept, and
+//    the bulk converter below reproduces it,
 //  * subnormals, ±inf and NaN are fully supported.
 // Arithmetic operators convert to float, compute, and round back — the same
 // semantics as CUDA's promoted-half arithmetic.
 
 #include <bit>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PD_F16C_DISPATCH 1
+#endif
+
 namespace pd {
+
+#if defined(PD_F16C_DISPATCH)
+/// Whether this CPU has the F16C half<->float converters (VCVTPH2PS,
+/// VCVTPS2PH).  The one dispatch flag for every hardware half conversion:
+/// convert_to_half below and the native kernels' widening on load.
+inline const bool kHaveF16c = __builtin_cpu_supports("f16c") != 0;
+#endif
 
 class Half {
  public:
@@ -88,6 +106,14 @@ static_assert(sizeof(Half) == 2, "Half must be 2 bytes — its size is the point
 
 /// Round-to-nearest-even conversion of a binary32 value to binary16 bits.
 std::uint16_t float_to_half_bits(float value);
+
+/// Bulk Half(double): out[i] = Half(in[i]) bit for bit, for i < n — the
+/// double rounding included.  With F16C it converts eight values at a time
+/// (VCVTPD2PS, then VCVTPS2PH with round-to-nearest-even); a block holding a
+/// NaN, the tail, and CPUs without F16C take the scalar path.  It never uses
+/// a direct double -> half instruction, which would round once and change
+/// the stored bits.
+void convert_to_half(const double* in, std::size_t n, Half* out);
 
 /// Exact conversion of binary16 bits to binary32.  Inline: this sits on the
 /// per-element hot path of every half-precision SpMV (both the simulated

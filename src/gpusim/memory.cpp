@@ -104,11 +104,16 @@ void coalesce_warp_sectors_reference(const Lanes<std::uint64_t>& addr,
   out.count = static_cast<unsigned>(std::unique(data, data + n) - data);
 }
 
+void CacheModel::check_geometry(std::uint64_t capacity_bytes, unsigned ways) {
+  PD_CHECK_MSG(ways > 0, "CacheModel: need at least one way");
+  PD_CHECK_MSG(capacity_bytes >= std::uint64_t{kSector} * ways,
+               "CacheModel: capacity too small");
+  PD_CHECK_MSG(ways <= 0xffffu, "CacheModel: too many ways");
+}
+
 CacheModel::CacheModel(std::uint64_t capacity_bytes, unsigned ways)
     : capacity_bytes_(capacity_bytes), ways_(ways) {
-  PD_CHECK_MSG(ways_ > 0, "CacheModel: need at least one way");
-  PD_CHECK_MSG(capacity_bytes_ >= kSector * ways_, "CacheModel: capacity too small");
-  PD_CHECK_MSG(ways_ <= 0xffffu, "CacheModel: too many ways");
+  check_geometry(capacity_bytes_, ways_);
   sets_ = capacity_bytes_ / kSector / ways_;
   lines_.assign(sets_ * ways_, Way{});
   set_tick_.assign(sets_, 0);
@@ -233,11 +238,15 @@ void CacheModel::invalidate() {
 }
 
 MemoryModel::MemoryModel(const DeviceSpec& spec)
-    : cache_(spec.l2_bytes, spec.l2_ways) {}
+    : l2_bytes_(spec.l2_bytes), l2_ways_(spec.l2_ways) {
+  CacheModel::check_geometry(l2_bytes_, l2_ways_);
+}
 
 void MemoryModel::apply_request(TraceOp op, bool write,
                                 const std::uint64_t* sectors,
                                 std::uint64_t count) {
+  PD_ASSERT(cache_.has_value());  // begin_kernel() allocated it
+  CacheModel& cache = *cache_;
   switch (op) {
     case TraceOp::kWarp:
       ++counters_.warp_requests;
@@ -255,22 +264,22 @@ void MemoryModel::apply_request(TraceOp op, bool write,
     for (std::uint64_t i = 0; i < count; ++i) {
       // Atomics are read-modify-write at the L2: one read + one write request.
       if (reference_path_) {
-        cache_.access_reference(sectors[i], /*write=*/false, counters_);
-        cache_.access_reference(sectors[i], /*write=*/true, counters_);
+        cache.access_reference(sectors[i], /*write=*/false, counters_);
+        cache.access_reference(sectors[i], /*write=*/true, counters_);
       } else {
-        cache_.access(sectors[i], /*write=*/false, counters_);
-        cache_.access(sectors[i], /*write=*/true, counters_);
+        cache.access(sectors[i], /*write=*/false, counters_);
+        cache.access(sectors[i], /*write=*/true, counters_);
       }
     }
     return;
   }
   if (reference_path_) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      cache_.access_reference(sectors[i], write, counters_);
+      cache.access_reference(sectors[i], write, counters_);
     }
   } else {
     for (std::uint64_t i = 0; i < count; ++i) {
-      cache_.access(sectors[i], write, counters_);
+      cache.access(sectors[i], write, counters_);
     }
   }
 }
@@ -324,10 +333,17 @@ void MemoryModel::replay(const BlockTrace& trace) {
   }
 }
 
-void MemoryModel::begin_kernel() { counters_ = TrafficCounters{}; }
+void MemoryModel::begin_kernel() {
+  if (!cache_) {
+    cache_.emplace(l2_bytes_, l2_ways_);
+  }
+  counters_ = TrafficCounters{};
+}
 
 TrafficCounters MemoryModel::end_kernel() {
-  cache_.flush_dirty(counters_);
+  if (cache_) {
+    cache_->flush_dirty(counters_);
+  }
   return counters_;
 }
 

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -102,6 +103,10 @@ void coalesce_warp_sectors_reference(const Lanes<std::uint64_t>& addr,
 /// Set-associative LRU sector cache with write-back / write-allocate policy.
 class CacheModel {
  public:
+  /// Throws pd::Error unless `ways` ways of 32-byte sectors fit in
+  /// `capacity_bytes`.
+  static void check_geometry(std::uint64_t capacity_bytes, unsigned ways);
+
   CacheModel(std::uint64_t capacity_bytes, unsigned ways);
 
   /// Probe one sector; updates counters.  `write` marks the line dirty.
@@ -148,8 +153,15 @@ class CacheModel {
 
 /// Per-device memory model: routes warp requests through the coalescer and
 /// the L2 model, accumulating counters for the active kernel.
+///
+/// The L2 tag array (31.5 MB for the A100) is allocated by the first
+/// begin_kernel(), not here, so a Gpu that never launches — every
+/// native-backend DoseEngine — holds none.  A new cache is in exactly the
+/// state invalidate() leaves, so the first launch counts like any cold one.
+/// Accesses are valid between begin_kernel() and end_kernel().
 class MemoryModel {
  public:
+  /// Checks the L2 geometry now; allocates nothing.
   explicit MemoryModel(const DeviceSpec& spec);
 
   /// One warp-level memory instruction touching per-lane byte ranges
@@ -174,9 +186,17 @@ class MemoryModel {
   void set_reference_path(bool on) { reference_path_ = on; }
   bool reference_path() const { return reference_path_; }
 
-  void begin_kernel();                       ///< Zero the per-kernel counters.
+  /// Zero the per-kernel counters; allocates the L2 on first use.
+  void begin_kernel();
   TrafficCounters end_kernel();              ///< Flush dirty lines, return counters.
-  void invalidate_cache() { cache_.invalidate(); }
+  /// Cold-start the L2 (nothing to drop before the first kernel).
+  void invalidate_cache() {
+    if (cache_) {
+      cache_->invalidate();
+    }
+  }
+  /// Whether the L2 tag array has been allocated (a kernel has begun).
+  bool cache_allocated() const { return cache_.has_value(); }
 
   const TrafficCounters& counters() const { return counters_; }
 
@@ -187,7 +207,9 @@ class MemoryModel {
   void apply_request(TraceOp op, bool write, const std::uint64_t* sectors,
                      std::uint64_t count);
 
-  CacheModel cache_;
+  std::uint64_t l2_bytes_;
+  unsigned l2_ways_;
+  std::optional<CacheModel> cache_;  ///< Built by the first begin_kernel().
   TrafficCounters counters_;
   SectorBuffer scratch_;
   bool reference_path_ = false;

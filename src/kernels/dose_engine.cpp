@@ -36,12 +36,14 @@ DoseEngine::DoseEngine(sparse::CsrF64 matrix, gpusim::DeviceSpec device,
     default:
       break;
   }
+  // The engine owns `matrix`: its structure moves into the stored matrix and
+  // the double values are freed once converted.
   switch (mode_) {
     case Mode::kHalfDouble:
-      half_matrix_ = sparse::convert_values<pd::Half>(matrix);
+      half_matrix_ = sparse::convert_values<pd::Half>(std::move(matrix));
       break;
     case Mode::kSingle:
-      single_matrix_ = sparse::convert_values<float>(matrix);
+      single_matrix_ = sparse::convert_values<float>(std::move(matrix));
       break;
     case Mode::kDouble:
       double_matrix_ = std::move(matrix);

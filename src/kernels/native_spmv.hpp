@@ -34,7 +34,7 @@
 #include "kernels/rowsplit_csr.hpp"
 #include "kernels/spmv_common.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(PD_F16C_DISPATCH)
 #include <immintrin.h>
 #define PD_NATIVE_F16C_DISPATCH 1
 #endif
@@ -59,8 +59,6 @@ __attribute__((target("f16c"))) inline void half_chunk_to_float_f16c(
     out[i] = v[i].to_float();
   }
 }
-
-inline const bool kHaveF16c = __builtin_cpu_supports("f16c") != 0;
 #endif
 
 /// Convert a chunk of matrix halves to binary32 (exact widening), using the

@@ -9,13 +9,39 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "fp16/half.hpp"
 #include "sparse/csr.hpp"
 
 namespace pd::sparse {
 
-/// Convert the value type (RNE rounding on narrowing), preserving structure.
+namespace detail {
+
+/// out[i] = VTo(double(in[i])).  double -> Half takes the bulk converter,
+/// which is bitwise equal to Half(double).
+template <typename VTo, typename VFrom>
+std::vector<VTo> convert_value_array(const std::vector<VFrom>& in) {
+  std::vector<VTo> out(in.size());
+  if constexpr (std::is_same_v<VTo, pd::Half> &&
+                std::is_same_v<VFrom, double>) {
+    pd::convert_to_half(in.data(), in.size(), out.data());
+  } else {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out[i] = static_cast<VTo>(static_cast<double>(in[i]));
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
+
+/// Convert the value type, preserving structure.  Narrowing goes through
+/// the target type's conversion from double: for Half that is Half(double),
+/// which rounds double -> float -> half and so can round twice
+/// (fp16/half.hpp); for float it is round-to-nearest-even.
 template <typename VTo, typename VFrom, typename I>
 CsrMatrix<VTo, I> convert_values(const CsrMatrix<VFrom, I>& in) {
   CsrMatrix<VTo, I> out;
@@ -23,10 +49,22 @@ CsrMatrix<VTo, I> convert_values(const CsrMatrix<VFrom, I>& in) {
   out.num_cols = in.num_cols;
   out.row_ptr = in.row_ptr;
   out.col_idx = in.col_idx;
-  out.values.reserve(in.values.size());
-  for (const VFrom& v : in.values) {
-    out.values.push_back(static_cast<VTo>(static_cast<double>(v)));
-  }
+  out.values = detail::convert_value_array<VTo>(in.values);
+  return out;
+}
+
+/// Same bits, consuming `in`: the structure arrays are moved instead of
+/// copied and the source values are freed as soon as they are converted.
+/// `in` is left empty.
+template <typename VTo, typename VFrom, typename I>
+CsrMatrix<VTo, I> convert_values(CsrMatrix<VFrom, I>&& in) {
+  CsrMatrix<VTo, I> out;
+  out.num_rows = in.num_rows;
+  out.num_cols = in.num_cols;
+  out.row_ptr = std::move(in.row_ptr);
+  out.col_idx = std::move(in.col_idx);
+  out.values = detail::convert_value_array<VTo>(in.values);
+  in = {};
   return out;
 }
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/dose_engine.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/random.hpp"
 #include "sparse/reference.hpp"
 
@@ -109,6 +111,54 @@ TEST(DoseEngine, CustomBlockSizeIsHonoured) {
                     DoseEngine::Mode::kHalfDouble, /*threads_per_block=*/128);
   engine.compute(x);
   EXPECT_EQ(engine.last_run().config.threads_per_block, 128u);
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(v.size());
+  for (const double d : v) {
+    bits.push_back(std::bit_cast<std::uint64_t>(d));
+  }
+  return bits;
+}
+
+TEST(DoseEngine, MovedMatrixBuildsTheSameEngineAsACopy) {
+  // The constructor converts its matrix by move; an engine handed a moved
+  // matrix must store and compute exactly what one handed a copy does, and
+  // what the copying conversion produces.
+  sparse::CsrF64 m = test_matrix(62);
+  for (std::size_t k = 0; k < m.values.size(); k += 7) {
+    m.values[k] = k % 2 == 0 ? -0.0 : 3e-6;  // signed zero, half subnormal
+  }
+  Rng rng(62);
+  const auto x = sparse::random_vector(rng, m.num_cols);
+  for (const auto mode :
+       {DoseEngine::Mode::kHalfDouble, DoseEngine::Mode::kSingle}) {
+    const sparse::CsrF64 expected =
+        mode == DoseEngine::Mode::kHalfDouble
+            ? sparse::convert_values<double>(
+                  sparse::convert_values<pd::Half>(m))
+            : sparse::convert_values<double>(sparse::convert_values<float>(m));
+    for (const auto backend :
+         {DoseEngine::Backend::kGpusim, DoseEngine::Backend::kNative}) {
+      DoseEngine from_copy(m, gpusim::make_a100(), mode, kDefaultVectorTpb,
+                           DoseEngine::Family::kVector, backend);
+      sparse::CsrF64 owned = m;
+      DoseEngine from_move(std::move(owned), gpusim::make_a100(), mode,
+                           kDefaultVectorTpb, DoseEngine::Family::kVector,
+                           backend);
+      for (const DoseEngine* e : {&from_copy, &from_move}) {
+        const sparse::CsrF64 stored = e->stored_matrix_as_double();
+        EXPECT_EQ(stored.row_ptr, expected.row_ptr);
+        EXPECT_EQ(stored.col_idx, expected.col_idx);
+        EXPECT_EQ(bit_patterns(stored.values), bit_patterns(expected.values));
+      }
+      EXPECT_EQ(bit_patterns(from_move.compute(x)),
+                bit_patterns(from_copy.compute(x)))
+          << "mode " << static_cast<int>(mode) << " backend "
+          << static_cast<int>(backend);
+    }
+  }
 }
 
 TEST(DoseEngine, InvalidMatrixRejectedAtConstruction) {

@@ -1,15 +1,22 @@
 // Tests for the software binary16 implementation: exhaustive round-trips,
-// round-to-nearest-even cases, specials, arithmetic, and the quantization
-// bound the dose matrices rely on.
+// round-to-nearest-even cases, specials, arithmetic, the quantization bound
+// the dose matrices rely on, and the bulk double -> half converter.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fp16/half.hpp"
+
+#if defined(PD_F16C_DISPATCH)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace pd {
 namespace {
@@ -172,6 +179,187 @@ TEST(Half, StreamOutput) {
 TEST(Half, IntConstructor) {
   EXPECT_EQ(Half(3).bits(), Half(3.0f).bits());
   EXPECT_EQ(Half(-7).bits(), Half(-7.0f).bits());
+}
+
+TEST(Half, DoubleConversionRoundsTwice) {
+  // 1 + 2^-11 + 2^-40 lies above the midpoint between 1.0 and its half
+  // successor, so correct rounding gives 0x3c01.  Half(double) rounds to
+  // binary32 first, which lands on the midpoint, and then ties to even.
+  // Every stored matrix half depends on this behaviour.
+  const double above_tie = 1.0 + std::ldexp(1.0, -11) + std::ldexp(1.0, -40);
+  EXPECT_EQ(static_cast<double>(static_cast<float>(above_tie)),
+            1.0 + std::ldexp(1.0, -11));
+  EXPECT_EQ(Half(above_tie).bits(), 0x3c00);
+  Half bulk;
+  convert_to_half(&above_tie, 1, &bulk);
+  EXPECT_EQ(bulk.bits(), 0x3c00);
+}
+
+// --- bulk conversion: convert_to_half must equal Half(double) bit for bit --
+
+/// Convert `in` in bulk and compare every element with the scalar
+/// Half(double); reports the first few mismatches.
+void expect_bulk_matches_scalar(const std::vector<double>& in) {
+  std::vector<Half> out(in.size(), Half::from_bits(0x5555));
+  convert_to_half(in.data(), in.size(), out.data());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint16_t want = Half(in[i]).bits();
+    if (out[i].bits() != want && ++mismatches <= 8) {
+      ADD_FAILURE() << "index " << i << " input bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(in[i]) << ": bulk 0x"
+                    << out[i].bits() << ", Half(double) 0x" << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << in.size() << " values";
+}
+
+TEST(HalfBulk, EveryHalfAndBothNeighbours) {
+  std::vector<double> in;
+  for (std::uint32_t bits = 0; bits <= 0xffff; ++bits) {
+    const double d = Half::from_bits(static_cast<std::uint16_t>(bits)).to_double();
+    in.push_back(d);
+    if (!std::isnan(d)) {
+      in.push_back(std::nextafter(d, -std::numeric_limits<double>::infinity()));
+      in.push_back(std::nextafter(d, std::numeric_limits<double>::infinity()));
+    }
+  }
+  expect_bulk_matches_scalar(in);
+}
+
+TEST(HalfBulk, MidpointsAndDoubleRoundingNudges) {
+  // Midpoints between adjacent finite halves are exact in double and float;
+  // a 2^-40 relative nudge either way is exact in double but rounds back
+  // onto the midpoint in binary32 — the cases where double rounding decides.
+  const double up = 1.0 + std::ldexp(1.0, -40);
+  const double down = 1.0 - std::ldexp(1.0, -40);
+  std::vector<double> in;
+  for (std::uint32_t bits = 0; bits < 0x7bff; ++bits) {
+    const double lo = Half::from_bits(static_cast<std::uint16_t>(bits)).to_double();
+    const double hi =
+        Half::from_bits(static_cast<std::uint16_t>(bits + 1)).to_double();
+    const double mid = 0.5 * (lo + hi);
+    for (const double v : {mid, mid * up, mid * down}) {
+      in.push_back(v);
+      in.push_back(-v);
+    }
+  }
+  expect_bulk_matches_scalar(in);
+}
+
+TEST(HalfBulk, SpecialsOverflowEdgeAndFloatSubnormals) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> in = {0.0, -0.0, inf, -inf, 65504.0, -65504.0,
+                            65520.0, -65520.0,
+                            std::nextafter(65520.0, 0.0),
+                            std::nextafter(65520.0, inf),
+                            std::nextafter(-65520.0, 0.0),
+                            std::nextafter(-65520.0, -inf),
+                            1e300, -1e300,
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min()};
+  // Float subnormals (below 2^-126) and their neighbourhood, both signs.
+  for (int e = -150; e <= -120; ++e) {
+    for (const double m : {1.0, 1.5, 1.999}) {
+      in.push_back(std::ldexp(m, e));
+      in.push_back(-std::ldexp(m, e));
+    }
+  }
+  in.push_back(static_cast<double>(std::numeric_limits<float>::denorm_min()));
+  in.push_back(static_cast<double>(std::numeric_limits<float>::min()));
+  expect_bulk_matches_scalar(in);
+  std::vector<Half> out(in.size());
+  convert_to_half(in.data(), in.size(), out.data());
+  EXPECT_EQ(out[0].bits(), 0x0000);
+  EXPECT_EQ(out[1].bits(), 0x8000);
+  EXPECT_EQ(out[4].bits(), 0x7bff);
+  EXPECT_TRUE(out[6].is_inf());  // the tie above 65504 rounds to even: inf
+  // One double ulp below that tie rounds to 65504 when correctly rounded,
+  // but binary32 rounds it onto the tie first: infinity again.
+  EXPECT_TRUE(out[8].is_inf());
+  EXPECT_TRUE(out[9].is_inf());
+}
+
+TEST(HalfBulk, NanAtEveryBlockPosition) {
+  // Quiet and signalling NaNs of both signs, including payloads confined to
+  // the low 29 bits (which binary32 cannot hold), placed at every lane of an
+  // 8-wide block among finite neighbours that must still convert correctly.
+  const std::uint64_t nans[] = {
+      0x7ff8000000000000ull, 0xfff8000000000000ull, 0x7ff8000000000001ull,
+      0x7ff800001fffffffull, 0x7ff0000000000001ull, 0xfff0000000000001ull,
+      0x7ff000001fffffffull, 0x7ff4000000000000ull, 0x7fffffffffffffffull,
+      0x7ff0000020000000ull};
+  for (const std::uint64_t nan_bits : nans) {
+    const double nan = std::bit_cast<double>(nan_bits);
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      std::vector<double> in(19);
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = 0.37 * static_cast<double>(i) - 2.0;
+      }
+      in[lane] = nan;      // first block
+      in[8 + lane] = nan;  // second block
+      in[16 + lane % 3] = nan;  // scalar tail
+      expect_bulk_matches_scalar(in);
+      std::vector<Half> out(in.size());
+      convert_to_half(in.data(), in.size(), out.data());
+      EXPECT_TRUE(out[lane].is_nan());
+      EXPECT_EQ(out[lane].signbit(), (nan_bits >> 63) != 0);
+    }
+  }
+}
+
+#if defined(PD_F16C_DISPATCH)
+/// XINUSE bit 2: set while the upper halves of the YMM registers are dirty.
+__attribute__((target("xsave"))) bool upper_ymm_dirty() {
+  return (_xgetbv(1) & 0x4u) != 0;
+}
+__attribute__((target("avx"))) void clear_upper_ymm() { _mm256_zeroupper(); }
+#endif
+
+TEST(HalfBulk, ReturnsWithCleanUpperYmmState) {
+  // Dirty upper YMM state left behind makes all later legacy-SSE code of the
+  // calling thread slower, so every exit path must clear it.
+#if defined(PD_F16C_DISPATCH)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  __cpuid_count(0xd, 1, eax, ebx, ecx, edx);
+  if (!kHaveF16c || (eax & 0x4u) == 0) {
+    GTEST_SKIP() << "needs F16C and XGETBV with ECX=1";
+  }
+  clear_upper_ymm();
+  if (upper_ymm_dirty()) {
+    GTEST_SKIP() << "this CPU does not report a clean upper YMM state";
+  }
+  const std::vector<double> in(17, 1.25);
+  std::vector<Half> out(in.size());
+  for (const std::size_t n : {3u, 8u, 9u, 16u, 17u}) {
+    clear_upper_ymm();
+    convert_to_half(in.data(), n, out.data());
+    EXPECT_FALSE(upper_ymm_dirty()) << "n = " << n;
+  }
+#else
+  GTEST_SKIP() << "no F16C dispatch on this target";
+#endif
+}
+
+TEST(HalfBulk, EveryLengthAndMisalignedStart) {
+  Rng rng(2024);
+  std::vector<double> src(40);
+  for (double& v : src) {
+    v = std::ldexp(rng.uniform(-70000.0, 70000.0),
+                   -static_cast<int>(rng.uniform_index(30)));
+  }
+  for (std::size_t start = 0; start < 4; ++start) {
+    for (std::size_t n = 0; n <= 17; ++n) {
+      std::vector<Half> out(24, Half::from_bits(0x5555));
+      convert_to_half(src.data() + start, n, out.data() + start);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const bool inside = i >= start && i < start + n;
+        const std::uint16_t want = inside ? Half(src[i]).bits() : 0x5555;
+        EXPECT_EQ(out[i].bits(), want)
+            << "start " << start << " n " << n << " index " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

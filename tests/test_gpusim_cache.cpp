@@ -1,9 +1,13 @@
 // Tests for the L2 sector-cache model and the warp coalescer: hit/miss
-// accounting, LRU eviction, write-back behaviour, and Nsight-style counters.
+// accounting, LRU eviction, write-back behaviour, Nsight-style counters, and
+// the L2's allocation on first simulated use.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpusim/device.hpp"
+#include "gpusim/launch.hpp"
 #include "gpusim/memory.hpp"
 
 namespace pd::gpusim {
@@ -194,6 +198,120 @@ TEST(MemoryModel, SmallArrayIsCacheResident) {
   const TrafficCounters tc = mem.counters();
   EXPECT_EQ(tc.dram_read_bytes, sizeof(small));
   EXPECT_EQ(tc.l2_read_hits, sizeof(small) / kSector);
+}
+
+// --- lazy L2: allocation on first simulated use must be invisible ---------
+
+void expect_same_traffic(const TrafficCounters& a, const TrafficCounters& b) {
+  EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes);
+  EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes);
+  EXPECT_EQ(a.l2_read_sectors, b.l2_read_sectors);
+  EXPECT_EQ(a.l2_write_sectors, b.l2_write_sectors);
+  EXPECT_EQ(a.l2_read_hits, b.l2_read_hits);
+  EXPECT_EQ(a.l2_write_hits, b.l2_write_hits);
+  EXPECT_EQ(a.l2_atomic_ops, b.l2_atomic_ops);
+  EXPECT_EQ(a.warp_requests, b.warp_requests);
+  EXPECT_EQ(a.sectors_requested, b.sectors_requested);
+  EXPECT_EQ(a.scalar_requests, b.scalar_requests);
+  EXPECT_EQ(a.scalar_sectors, b.scalar_sectors);
+}
+
+TEST(CacheModel, FlushAndInvalidateOnUnusedCacheAreNoOps) {
+  CacheModel unused(8 * kSector, 2);
+  TrafficCounters tc;
+  unused.flush_dirty(tc);
+  expect_same_traffic(tc, TrafficCounters{});
+  unused.invalidate();
+  // The invalidated cache behaves exactly like a new one.
+  CacheModel fresh(8 * kSector, 2);
+  TrafficCounters a, b;
+  for (const std::uint64_t s : {0u, 4u, 0u, 8u, 4u, 12u, 0u}) {
+    EXPECT_EQ(unused.access(s, s % 8 == 0, a), fresh.access(s, s % 8 == 0, b));
+  }
+  unused.flush_dirty(a);
+  fresh.flush_dirty(b);
+  expect_same_traffic(a, b);
+}
+
+TEST(MemoryModel, AllocatesL2OnFirstKernel) {
+  MemoryModel mem(make_a100());
+  EXPECT_FALSE(mem.cache_allocated());
+  mem.invalidate_cache();  // nothing to drop yet
+  EXPECT_FALSE(mem.cache_allocated());
+  mem.begin_kernel();
+  EXPECT_TRUE(mem.cache_allocated());
+  expect_same_traffic(mem.end_kernel(), TrafficCounters{});
+}
+
+TEST(MemoryModel, DegenerateL2RejectedAtConstruction) {
+  DeviceSpec bad = make_a100();
+  bad.l2_ways = 0;
+  EXPECT_THROW(MemoryModel{bad}, pd::Error);
+  bad = make_a100();
+  bad.l2_bytes = kSector;
+  EXPECT_THROW(Gpu{bad}, pd::Error);
+}
+
+/// A launch whose counters depend on the L2's starting state: a streaming
+/// read, a gather from a small reused table, contiguous stores (dirty lines
+/// written back at kernel end) and atomics on a few hot words.
+struct L2Workload {
+  std::vector<double> src, dst, table, hot;
+  std::vector<std::uint32_t> idx;
+
+  L2Workload() : src(4096), dst(4096), table(300), hot(8), idx(4096) {
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      src[i] = static_cast<double>(i % 97);
+      idx[i] = static_cast<std::uint32_t>((i * 37) % table.size());
+    }
+  }
+
+  KernelStats run(Gpu& gpu, bool cold_cache = true) {
+    const LaunchConfig cfg =
+        LaunchConfig::warp_per_item(src.size() / kWarpSize, 128, 32);
+    return gpu.run(
+        cfg,
+        [&](WarpCtx& w) {
+          const std::uint64_t base = w.global_warp_id() * kWarpSize;
+          if (base >= src.size()) return;
+          const auto v = w.load_contiguous(src.data(), base, kFullMask);
+          const auto i = w.load_contiguous(idx.data(), base, kFullMask);
+          const auto t = w.gather(table.data(), i, kFullMask);
+          Lanes<double> out;
+          Lanes<std::uint32_t> slot;
+          for (unsigned l = 0; l < kWarpSize; ++l) {
+            out[l] = v[l] * t[l];
+            slot[l] = l % 8;
+          }
+          w.store_contiguous(dst.data(), base, out, kFullMask);
+          w.atomic_add_scatter(hot.data(), slot, out, kFullMask);
+        },
+        /*schedule_seed=*/0, cold_cache);
+  }
+};
+
+TEST(LazyL2, FirstLaunchCountsLikeAColdLaunch) {
+  DeviceSpec small = make_a100();
+  small.l2_bytes = 256 * kSector;  // 8 KiB: the workload evicts and writes back
+  small.l2_ways = 4;
+  for (const DeviceSpec& spec : {make_a100(), small}) {
+    L2Workload work;
+    Gpu gpu(spec);
+    const KernelStats first = work.run(gpu);
+    const KernelStats again = work.run(gpu);
+    expect_same_traffic(first.traffic, again.traffic);
+    EXPECT_GT(first.traffic.dram_write_bytes, 0u);
+
+    // A first launch that asks for a warm cache still starts cold.
+    Gpu warm_first(spec);
+    expect_same_traffic(work.run(warm_first, /*cold_cache=*/false).traffic,
+                        first.traffic);
+
+    // The reference coalescer and cache scan agree from their first launch.
+    Gpu reference(spec);
+    reference.set_reference_memory_path(true);
+    expect_same_traffic(work.run(reference).traffic, first.traffic);
+  }
 }
 
 TEST(TrafficCounters, Accumulate) {

@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "fp16/half.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
@@ -185,6 +191,90 @@ TEST(SellCs, InvalidParametersThrow) {
   const CsrF64 m = tiny_matrix();
   EXPECT_THROW(csr_to_sellcs(m, 0, 32), pd::Error);
   EXPECT_THROW(csr_to_sellcs(m, 32, 48), pd::Error);  // σ not multiple of C
+}
+
+// --- value conversion: the consuming overload ------------------------------
+
+std::uint64_t value_bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+std::uint64_t value_bits(pd::Half v) { return v.bits(); }
+
+template <typename V>
+void expect_same_matrix_bits(const CsrMatrix<V>& a, const CsrMatrix<V>& b) {
+  EXPECT_EQ(a.num_rows, b.num_rows);
+  EXPECT_EQ(a.num_cols, b.num_cols);
+  EXPECT_EQ(a.row_ptr, b.row_ptr);
+  EXPECT_EQ(a.col_idx, b.col_idx);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t k = 0; k < a.values.size(); ++k) {
+    EXPECT_EQ(value_bits(a.values[k]), value_bits(b.values[k])) << "entry " << k;
+  }
+}
+
+/// Matrices the consuming conversion must handle like the copying one: no
+/// rows, rows but no entries, and entries that stress the narrowing (NaN,
+/// -0.0, half-subnormal, beyond the half range, float-subnormal).
+std::vector<CsrF64> conversion_cases() {
+  std::vector<CsrF64> cases;
+  CsrF64 no_rows;
+  no_rows.num_cols = 4;
+  no_rows.row_ptr = {0};
+  cases.push_back(no_rows);
+
+  CsrF64 no_entries;
+  no_entries.num_rows = 3;
+  no_entries.num_cols = 5;
+  no_entries.row_ptr = {0, 0, 0, 0};
+  cases.push_back(no_entries);
+
+  Rng rng(404);
+  CsrF64 specials = random_csr(rng, 60, 40, 6.0, RandomStructure::kSkewed);
+  const double edge[] = {std::numeric_limits<double>::quiet_NaN(),
+                         -0.0,
+                         3e-6,  // half subnormal
+                         -1e-7,
+                         65504.0,
+                         65520.0,
+                         70000.0,
+                         -1e300,
+                         1e-40,  // float subnormal
+                         1.0 + std::ldexp(1.0, -11) + std::ldexp(1.0, -40)};
+  for (std::size_t k = 0; k < specials.values.size(); ++k) {
+    if (k % 3 == 0) {
+      specials.values[k] = edge[(k / 3) % std::size(edge)];
+    }
+  }
+  specials.validate();
+  cases.push_back(specials);
+  return cases;
+}
+
+template <typename V>
+void expect_consuming_matches_copying() {
+  for (const CsrF64& m : conversion_cases()) {
+    const CsrMatrix<V> copied = convert_values<V>(m);
+    CsrF64 source = m;
+    const CsrMatrix<V> moved = convert_values<V>(std::move(source));
+    expect_same_matrix_bits(moved, copied);
+    moved.validate();
+    // Both equal the element-wise conversion.
+    ASSERT_EQ(moved.values.size(), m.values.size());
+    for (std::size_t k = 0; k < m.values.size(); ++k) {
+      EXPECT_EQ(value_bits(moved.values[k]), value_bits(V(m.values[k])))
+          << "entry " << k;
+    }
+    // The source is consumed: nothing of it stays allocated.
+    EXPECT_EQ(source.row_ptr.capacity(), 0u);
+    EXPECT_EQ(source.col_idx.capacity(), 0u);
+    EXPECT_EQ(source.values.capacity(), 0u);
+  }
+}
+
+TEST(ConvertValues, ConsumingMatchesCopyingForHalf) {
+  expect_consuming_matches_copying<pd::Half>();
+}
+
+TEST(ConvertValues, ConsumingMatchesCopyingForFloat) {
+  expect_consuming_matches_copying<float>();
 }
 
 // --- parameterized round-trip sweep ----------------------------------------
