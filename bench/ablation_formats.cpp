@@ -12,7 +12,6 @@
 // decompress-SpMV and the native SELL-C-32 kernel versus the bitwise native
 // CSR-double kernel, host wall-clock, single thread.
 
-#include <chrono>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -30,24 +29,13 @@
 
 namespace {
 
+using pd::bench::time_per_call;
+
+/// Shortest timed span per measurement (seconds).
+constexpr double kMinSeconds = 0.2;
+
 double useful_gflops(double nnz, double seconds) {
   return 2.0 * nnz / seconds / 1e9;
-}
-
-template <typename Body>
-double time_per_call(const Body& body) {
-  body();  // warm-up
-  const auto t0 = std::chrono::steady_clock::now();
-  int reps = 0;
-  double elapsed = 0.0;
-  do {
-    body();
-    ++reps;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (reps < 5 || elapsed < 0.2);
-  return elapsed / reps;
 }
 
 }  // namespace
@@ -149,15 +137,18 @@ int main() {
     pd::Rng rng(17 + beam.matrix.nnz());
     const std::vector<double> w =
         pd::sparse::random_vector(rng, beam.matrix.num_cols, 0.5, 2.0);
-    const double us_csr = time_per_call([&] { engine.compute(w); }) * 1e6;
+    const double us_csr =
+        time_per_call([&] { engine.compute(w); }, kMinSeconds) * 1e6;
     engine.set_tier(DoseEngine::Tier::kFast, DoseEngine::FastFormat::kRsFormat);
-    const double us_rs = time_per_call([&] { engine.compute(w); }) * 1e6;
+    const double us_rs =
+        time_per_call([&] { engine.compute(w); }, kMinSeconds) * 1e6;
     const double ratio =
         static_cast<double>(
             pd::kernels::rsformat_streamed_bytes(engine.fast_rs_matrix())) /
         static_cast<double>(beam.matrix.bytes());
     engine.set_tier(DoseEngine::Tier::kFast, DoseEngine::FastFormat::kSellCs);
-    const double us_sell = time_per_call([&] { engine.compute(w); }) * 1e6;
+    const double us_sell =
+        time_per_call([&] { engine.compute(w); }, kMinSeconds) * 1e6;
     fused.add_row({beam.label, pd::fmt_double(us_csr, 1),
                    pd::fmt_double(us_rs, 1), pd::fmt_double(us_sell, 1),
                    pd::fmt_percent(ratio, 1)});

@@ -6,6 +6,7 @@
 // the simulated device, and reports both a human-readable table and a CSV
 // under bench_results/.
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,6 +53,24 @@ std::optional<Measurement> measure_kernel(gpusim::Gpu& gpu,
                                           kernels::KernelKind kind,
                                           const BenchBeam& beam,
                                           unsigned threads_per_block = 0);
+
+/// Wallclock seconds per call of `body()`: one warm-up call, then timed
+/// calls until at least 5 have run and at least `min_seconds` have passed.
+template <typename Body>
+double time_per_call(const Body& body, double min_seconds) {
+  body();  // warm-up
+  const auto t0 = std::chrono::steady_clock::now();
+  int reps = 0;
+  double elapsed = 0.0;
+  do {
+    body();
+    ++reps;
+    elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  } while (reps < 5 || elapsed < min_seconds);
+  return elapsed / reps;
+}
 
 /// Write rows to bench_results/<name>.csv (directory created on demand).
 void write_csv(const std::string& name,

@@ -15,7 +15,6 @@
 // speedup over full recompute at 1% changed spots on Liver 1 (target >= 5x).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -35,29 +34,16 @@
 
 namespace {
 
+using pd::bench::time_per_call;
 using pd::kernels::DoseEngine;
+
+/// Shortest timed span per measurement (seconds).
+constexpr double kMinSeconds = 0.2;
 
 std::string fmt(double v, int prec = 3) {
   std::ostringstream os;
   os << std::setprecision(prec) << std::fixed << v;
   return os.str();
-}
-
-/// Warm-up + "at least 5 reps and 0.2 s" timing loop; seconds per call.
-template <typename Body>
-double time_per_call(const Body& body) {
-  body();
-  const auto t0 = std::chrono::steady_clock::now();
-  int reps = 0;
-  double elapsed = 0.0;
-  do {
-    body();
-    ++reps;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (reps < 5 || elapsed < 0.2);
-  return elapsed / reps;
 }
 
 struct CaseResult {
@@ -128,20 +114,25 @@ int main() {
       r.beam = beam.label;
       r.changed_frac = frac;
       r.matrix_nnz = beam.matrix.nnz();
-      r.us_full = time_per_call([&] { engine.compute(w_new); }) * 1e6;
-      r.us_delta_bitwise = time_per_call([&] {
-                             engine.compute_delta(
-                                 base, w, w_new,
-                                 DoseEngine::DeltaMode::kBitwise);
-                           }) *
+      r.us_full =
+          time_per_call([&] { engine.compute(w_new); }, kMinSeconds) * 1e6;
+      r.us_delta_bitwise = time_per_call(
+                               [&] {
+                                 engine.compute_delta(
+                                     base, w, w_new,
+                                     DoseEngine::DeltaMode::kBitwise);
+                               },
+                               kMinSeconds) *
                            1e6;
       r.changed_cols = engine.last_delta().changed_cols;
       r.delta_nnz = engine.last_delta().delta_nnz;
       r.touched_rows = engine.last_delta().touched_rows;
-      r.us_delta_fast = time_per_call([&] {
-                          engine.compute_delta(base, w, w_new,
-                                               DoseEngine::DeltaMode::kFast);
-                        }) *
+      r.us_delta_fast = time_per_call(
+                            [&] {
+                              engine.compute_delta(
+                                  base, w, w_new, DoseEngine::DeltaMode::kFast);
+                            },
+                            kMinSeconds) *
                         1e6;
       // In-place: alternate w -> w_new -> w so every rep is one update of
       // the same footprint and the dose never drifts from reusable state.
@@ -155,14 +146,15 @@ int main() {
         }
         forward = !forward;
       };
-      r.us_apply_bitwise = time_per_call([&] {
-                             alternate(DoseEngine::DeltaMode::kBitwise);
-                           }) *
-                           1e6;
+      r.us_apply_bitwise =
+          time_per_call([&] { alternate(DoseEngine::DeltaMode::kBitwise); },
+                        kMinSeconds) *
+          1e6;
       dose = base;
       forward = true;
       r.us_apply_fast =
-          time_per_call([&] { alternate(DoseEngine::DeltaMode::kFast); }) *
+          time_per_call([&] { alternate(DoseEngine::DeltaMode::kFast); },
+                        kMinSeconds) *
           1e6;
       results.push_back(r);
 

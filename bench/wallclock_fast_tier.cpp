@@ -16,7 +16,6 @@
 // scripts/check_bench_results.sh).
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -36,9 +35,13 @@
 
 namespace {
 
+using pd::bench::time_per_call;
 using pd::kernels::DoseEngine;
 
 constexpr std::size_t kBatchK = 9;
+
+/// Shortest timed span per measurement (seconds).
+constexpr double kMinSeconds = 0.2;
 
 std::string fmt(double v, int prec = 3) {
   std::ostringstream os;
@@ -54,23 +57,6 @@ const char* format_name(DoseEngine::FastFormat f) {
     case DoseEngine::FastFormat::kAuto: return "auto";
   }
   return "?";
-}
-
-/// Warm-up + "at least 5 reps and 0.2 s" timing loop; seconds per call.
-template <typename Body>
-double time_per_call(const Body& body) {
-  body();
-  const auto t0 = std::chrono::steady_clock::now();
-  int reps = 0;
-  double elapsed = 0.0;
-  do {
-    body();
-    ++reps;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (reps < 5 || elapsed < 0.2);
-  return elapsed / reps;
 }
 
 struct CaseResult {
@@ -135,11 +121,13 @@ int main() {
     CaseResult r;
     r.beam = beam.label;
     r.csr_bytes = beam.matrix.bytes();
-    r.us_native_csr = time_per_call([&] { engine.compute(x); }) * 1e6;
+    r.us_native_csr =
+        time_per_call([&] { engine.compute(x); }, kMinSeconds) * 1e6;
 
     engine.set_tier(DoseEngine::Tier::kFast, DoseEngine::FastFormat::kRsFormat);
     r.rs_bytes = pd::kernels::rsformat_streamed_bytes(engine.fast_rs_matrix());
-    r.us_fused_rsformat = time_per_call([&] { engine.compute(x); }) * 1e6;
+    r.us_fused_rsformat =
+        time_per_call([&] { engine.compute(x); }, kMinSeconds) * 1e6;
 
     // Batched fused rsformat at K=9 vs 9 looped products (same container,
     // same thread).  Per-product time for both sides.
@@ -148,21 +136,25 @@ int main() {
       std::vector<double> bw(kBatchK * spots);
       for (double& v : bw) v = rng.uniform(0.5, 2.0);
       r.us_batched_k9 =
-          time_per_call([&] { engine.compute_batch(bw, kBatchK); }) * 1e6 /
-          static_cast<double>(kBatchK);
-      r.us_looped_k9 = time_per_call([&] {
-                         for (std::size_t j = 0; j < kBatchK; ++j) {
-                           engine.compute(std::span<const double>(
-                               bw.data() + j * spots, spots));
-                         }
-                       }) *
+          time_per_call([&] { engine.compute_batch(bw, kBatchK); },
+                        kMinSeconds) *
+          1e6 / static_cast<double>(kBatchK);
+      r.us_looped_k9 = time_per_call(
+                           [&] {
+                             for (std::size_t j = 0; j < kBatchK; ++j) {
+                               engine.compute(std::span<const double>(
+                                   bw.data() + j * spots, spots));
+                             }
+                           },
+                           kMinSeconds) *
                        1e6 / static_cast<double>(kBatchK);
     }
 
     engine.set_tier(DoseEngine::Tier::kFast, DoseEngine::FastFormat::kSellCs);
     r.sell_bytes =
         pd::kernels::sellcs_streamed_bytes(engine.fast_sell_matrix());
-    r.us_sellcs = time_per_call([&] { engine.compute(x); }) * 1e6;
+    r.us_sellcs =
+        time_per_call([&] { engine.compute(x); }, kMinSeconds) * 1e6;
 
     // Autotune (container grid + geometry; trials from env).  The chosen
     // config is what EngineCache would pin for this plan.
@@ -189,7 +181,8 @@ int main() {
     engine.set_tier(DoseEngine::Tier::kFast, DoseEngine::FastFormat::kSellCsQ);
     r.sellq_bytes =
         pd::kernels::sellcs_q_streamed_bytes(engine.fast_sellq_matrix());
-    r.us_sellcsq = time_per_call([&] { engine.compute(x); }) * 1e6;
+    r.us_sellcsq =
+        time_per_call([&] { engine.compute(x); }, kMinSeconds) * 1e6;
     results.push_back(r);
   }
 

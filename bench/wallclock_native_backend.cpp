@@ -5,12 +5,11 @@
 // overhead for products whose counters they never read — while staying
 // bitwise identical to the simulated kernels (tests/test_native_backend.cpp
 // enforces it).  This bench records what that buys: dose products per second
-// for the native backend at 1/2/4 threads against gpusim functional-only and
-// full trace-replay, plus the batched multi-scenario traversal (K=9, the
-// robust-planning shape) against K looped single products.  Results land in
+// for the native backend at 1/2/4 threads against gpusim functional-only,
+// plus the batched multi-scenario traversal (K=9, the robust-planning shape)
+// against K looped single products.  Results land in
 // bench_results/wallclock_native_backend.csv and BENCH_native.json.
 
-#include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -22,13 +21,16 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "gpusim/simcheck.hpp"
-#include "gpusim/trace.hpp"
 #include "kernels/dose_engine.hpp"
 #include "sparse/random.hpp"
 
 namespace {
 
+using pd::bench::time_per_call;
 using pd::kernels::DoseEngine;
+
+/// Shortest timed span per measurement (seconds).
+constexpr double kMinSeconds = 0.4;
 
 struct ModeResult {
   std::string name;
@@ -40,24 +42,6 @@ std::string fmt(double v, int prec = 3) {
   std::ostringstream os;
   os << std::setprecision(prec) << std::fixed << v;
   return os.str();
-}
-
-/// Time `body()` (one dose product per call) with the standard warm-up +
-/// "at least 5 reps and 0.4 s" loop; returns seconds per call.
-template <typename Body>
-double time_per_call(const Body& body) {
-  body();  // warm-up
-  const auto t0 = std::chrono::steady_clock::now();
-  int reps = 0;
-  double elapsed = 0.0;
-  do {
-    body();
-    ++reps;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (reps < 5 || elapsed < 0.4);
-  return elapsed / reps;
 }
 
 }  // namespace
@@ -85,17 +69,16 @@ int main() {
   {
     DoseEngine engine = make_engine(DoseEngine::Backend::kGpusim);
     engine.set_engine_options({pd::gpusim::TraceMode::kFunctionalOnly, 0});
-    results.push_back({"gpusim_functional_only",
-                       time_per_call([&] { engine.compute(x); }), 0.0});
-    engine.set_engine_options({pd::gpusim::TraceMode::kTraceReplay, 0});
-    results.push_back({"gpusim_trace_replay",
-                       time_per_call([&] { engine.compute(x); }), 0.0});
+    results.push_back(
+        {"gpusim_functional_only",
+         time_per_call([&] { engine.compute(x); }, kMinSeconds), 0.0});
   }
   for (const unsigned threads : {1u, 2u, 4u}) {
     DoseEngine engine = make_engine(DoseEngine::Backend::kNative);
     engine.set_native_threads(threads);
-    results.push_back({"native_" + std::to_string(threads) + "t",
-                       time_per_call([&] { engine.compute(x); }), 0.0});
+    results.push_back(
+        {"native_" + std::to_string(threads) + "t",
+         time_per_call([&] { engine.compute(x); }, kMinSeconds), 0.0});
   }
   const double functional_s = results.front().seconds_per_product;
   for (auto& r : results) {
@@ -110,14 +93,16 @@ int main() {
   DoseEngine batch_engine = make_engine(DoseEngine::Backend::kNative);
   batch_engine.set_native_threads(1);
   const double batched_s = time_per_call(
-      [&] { batch_engine.compute_batch(batch_weights, kBatch); });
-  const double looped_s = time_per_call([&] {
-    for (std::size_t j = 0; j < kBatch; ++j) {
-      batch_engine.compute(std::span<const double>(
-          batch_weights.data() + j * beam.matrix.num_cols,
-          beam.matrix.num_cols));
-    }
-  });
+      [&] { batch_engine.compute_batch(batch_weights, kBatch); }, kMinSeconds);
+  const double looped_s = time_per_call(
+      [&] {
+        for (std::size_t j = 0; j < kBatch; ++j) {
+          batch_engine.compute(std::span<const double>(
+              batch_weights.data() + j * beam.matrix.num_cols,
+              beam.matrix.num_cols));
+        }
+      },
+      kMinSeconds);
   const double batched_speedup = looped_s / batched_s;
 
   pd::TextTable table({"backend", "ms / product", "speedup vs functional"});

@@ -1,15 +1,13 @@
 // Wallclock throughput of the simulator *itself* — not the modelled device.
 //
-// The two-phase engine (PR 2) exists to make every figure and ablation in
-// this reproduction cheaper to run: the robust-optimization workloads the
-// paper motivates multiply SpMV launch counts by 10-100x, so simulator
-// throughput bounds the experiment matrix we can afford.  This bench measures
-// simulated warp-instructions/sec and sectors/sec on Liver 1 for each engine
-// mode against the retained reference memory path (the seed's sort+unique
+// Simulator throughput bounds the experiment matrix this reproduction can
+// afford: the robust-optimization workloads the paper motivates multiply
+// SpMV launch counts by 10-100x.  This bench measures simulated
+// warp-instructions/sec and sectors/sec on Liver 1 for each engine mode
+// against the retained reference memory path (the seed's sort+unique
 // coalescer and global-tick cache scan), and records the trajectory in
-// BENCH_gpusim.json so later PRs can show regressions or wins.
+// BENCH_gpusim.json so regressions and wins show up across commits.
 
-#include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -21,7 +19,6 @@
 #include "common/table.hpp"
 #include "fp16/half.hpp"
 #include "gpusim/simcheck.hpp"
-#include "gpusim/trace.hpp"
 #include "kernels/vector_csr.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/random.hpp"
@@ -60,7 +57,7 @@ std::string fmt_rate(double v) {
 int main() {
   const double scale = pd::bench::bench_scale();
   pd::bench::print_banner("wallclock_sim_throughput",
-                          "simulator engine throughput (two-phase vs serial)",
+                          "simulator engine throughput (serial vs functional)",
                           scale);
   const auto beams = pd::bench::load_case_beams("liver", scale);
   const auto& beam = beams.front();
@@ -75,7 +72,6 @@ int main() {
       {"serial_reference", true,
        {pd::gpusim::TraceMode::kSerial, 1}},
       {"serial", false, {pd::gpusim::TraceMode::kSerial, 1}},
-      {"trace_replay", false, {pd::gpusim::TraceMode::kTraceReplay, 0}},
       {"functional_only", false,
        {pd::gpusim::TraceMode::kFunctionalOnly, 0}},
   };
@@ -106,22 +102,9 @@ int main() {
 
     ModeResult r;
     r.name = mode.name;
-    r.stats = launch_once(gpu);  // warm-up; also the counters we report
-
-    // Run enough launches for a stable wallclock sample (>= ~0.4 s or 5
-    // reps, whichever is more work).
-    const auto t0 = std::chrono::steady_clock::now();
-    int reps = 0;
-    double elapsed = 0.0;
-    do {
-      launch_once(gpu);
-      ++reps;
-      elapsed = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    } while (reps < 5 || elapsed < 0.4);
-
-    r.seconds_per_launch = elapsed / reps;
+    // Every launch cold-starts the L2, so each reports the same counters.
+    r.seconds_per_launch = pd::bench::time_per_call(
+        [&] { r.stats = launch_once(gpu); }, /*min_seconds=*/0.4);
     r.warp_instr_per_sec =
         static_cast<double>(r.stats.compute.warp_arith_instrs) /
         r.seconds_per_launch;
@@ -147,8 +130,7 @@ int main() {
   }
   std::cout << table.str() << "\n";
   std::cout << "functional_only skips the cache model entirely (correctness-"
-               "only callers: tests, optimizer inner loops); trace_replay "
-               "keeps counters bitwise identical to serial.\n\n";
+               "only callers: tests, optimizer inner loops).\n\n";
 
   std::vector<std::vector<std::string>> rows;
   for (const auto& r : results) {

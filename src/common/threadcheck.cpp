@@ -118,13 +118,19 @@ const bool g_env_init = [] {
 
 Context* active() { return g_active.load(std::memory_order_acquire); }
 
-std::uint32_t register_object(ObjectKind kind, const char* name,
+std::uint32_t register_object(std::atomic<std::uint32_t>& slot,
+                              ObjectKind kind, const char* name,
                               std::uint32_t flags) {
   Context& ctx = context();
   std::lock_guard<std::mutex> lock(ctx.mu);
-  ctx.objects.push_back(
-      ObjectInfo{kind, name == nullptr ? "" : name, flags});
-  return static_cast<std::uint32_t>(ctx.objects.size());  // 1-based
+  std::uint32_t id = slot.load(std::memory_order_relaxed);
+  if (id == 0) {
+    ctx.objects.push_back(
+        ObjectInfo{kind, name == nullptr ? "" : name, flags});
+    id = static_cast<std::uint32_t>(ctx.objects.size());  // 1-based
+    slot.store(id, std::memory_order_relaxed);
+  }
+  return id;
 }
 
 void record_lock(Context* ctx, std::uint32_t id) {

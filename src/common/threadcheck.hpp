@@ -5,7 +5,7 @@
 // simcheck (docs/simcheck.md) gives the simulated device kernels
 // compute-sanitizer-style coverage; the code that actually serves traffic —
 // service::DoseService, BatchQueue scheduling under the service lock,
-// EngineCache, the gpusim phase-1 ThreadPool, and the nnz-balanced
+// EngineCache, the gpusim ThreadPool, and the nnz-balanced
 // parallel_spmv threading — had none.  threadcheck closes that gap with the
 // same contract: strictly opt-in instrumentation whose disabled cost is one
 // relaxed atomic null test per operation, and whose enabled findings are
@@ -175,7 +175,12 @@ enum class ObjectKind : std::uint8_t {
 constexpr std::uint32_t kWaitersExpected = 0;
 constexpr std::uint32_t kWaitersOptional = 1;
 
-std::uint32_t register_object(ObjectKind kind, const char* name,
+/// Register the primitive whose id lives in `slot` and return its id.  The
+/// slot is re-checked and written under the registry lock, so threads that
+/// reach a fresh primitive together all get the one id the first of them
+/// published — never two ids that split its events.
+std::uint32_t register_object(std::atomic<std::uint32_t>& slot,
+                              ObjectKind kind, const char* name,
                               std::uint32_t flags);
 
 /// Lazily resolve a primitive's object id (0 = unregistered).  Registration
@@ -184,12 +189,8 @@ std::uint32_t register_object(ObjectKind kind, const char* name,
 inline std::uint32_t resolve_id(std::atomic<std::uint32_t>& slot,
                                 ObjectKind kind, const char* name,
                                 std::uint32_t flags = 0) {
-  std::uint32_t id = slot.load(std::memory_order_relaxed);
-  if (id == 0) {
-    id = register_object(kind, name, flags);
-    slot.store(id, std::memory_order_relaxed);
-  }
-  return id;
+  const std::uint32_t id = slot.load(std::memory_order_relaxed);
+  return id != 0 ? id : register_object(slot, kind, name, flags);
 }
 
 /// The active context, or nullptr when disabled — the one test every

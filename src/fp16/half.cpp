@@ -4,7 +4,7 @@
 #include <cmath>
 #include <ostream>
 
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 #include <immintrin.h>
 #endif
 
@@ -95,7 +95,7 @@ void convert_to_half_scalar(const double* in, std::size_t n, Half* out) {
   }
 }
 
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 /// Eight values per step along Half(double)'s own path.  VCVTPD2PS rounds
 /// under MXCSR exactly like the scalar static_cast<float>, and VCVTPS2PH with
 /// _MM_FROUND_TO_NEAREST_INT is float_to_half_bits' round-to-nearest-even on
@@ -135,7 +135,7 @@ __attribute__((target("f16c"))) void convert_to_half_f16c(const double* in,
 }  // namespace
 
 void convert_to_half(const double* in, std::size_t n, Half* out) {
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   if (kHaveF16c) {
     convert_to_half_f16c(in, n, out);
     return;

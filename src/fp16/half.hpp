@@ -24,17 +24,24 @@
 #include <iosfwd>
 #include <limits>
 
+// The one gate for runtime x86 ISA dispatch: code built with
+// __attribute__((target(...))) and chosen by the CPU feature flags below.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PD_F16C_DISPATCH 1
+#define PD_X86_DISPATCH 1
 #endif
 
 namespace pd {
 
-#if defined(PD_F16C_DISPATCH)
-/// Whether this CPU has the F16C half<->float converters (VCVTPH2PS,
-/// VCVTPS2PH).  The one dispatch flag for every hardware half conversion:
-/// convert_to_half below and the native kernels' widening on load.
+#if defined(PD_X86_DISPATCH)
+// CPU feature flags, probed once per process and shared by every dispatch
+// site: the half converters here and the host kernels in src/kernels/.
+/// F16C half<->float converters (VCVTPH2PS, VCVTPS2PH): convert_to_half
+/// below and the native kernels' widening on load.
 inline const bool kHaveF16c = __builtin_cpu_supports("f16c") != 0;
+/// AVX2: native batched/delta kernels, rsformat decode, SELL-C-σ gathers.
+inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
+/// AVX-512F: the 8-lane SELL-C-σ gather.
+inline const bool kHaveAvx512f = __builtin_cpu_supports("avx512f") != 0;
 #endif
 
 class Half {

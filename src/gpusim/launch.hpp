@@ -8,29 +8,27 @@
 // whose warps only touch disjoint outputs return bitwise-identical results
 // under every schedule, while the atomic-based GPU Baseline does not.
 //
-// Three engine modes (EngineOptions::mode, see gpusim/trace.hpp):
+// Two engine modes (EngineOptions::mode):
 //
-//  * kSerial — the legacy single pass: each warp executes and its memory
-//    requests probe the cache inline, block by block in schedule order.
-//  * kTraceReplay — two phases.  Phase 1 executes every block functionally
-//    (in parallel across blocks when phase1_threads allows) and records each
-//    warp's compacted sector trace into the block's private BlockTrace.
-//    Phase 2 replays the traces through the cache model in schedule order.
-//    Because intra-block request order is preserved by the trace and
-//    inter-block order by the schedule-order replay, the traffic counters
-//    are bitwise identical to kSerial for every schedule seed, regardless of
-//    how phase 1 was parallelized.
-//  * kFunctionalOnly — phase 1 only: real kernel results and arithmetic
-//    counters, zero traffic simulation.  For callers that never look at the
-//    memory counters (optimizer inner loops) this skips the coalescer, the
-//    cache and even address generation.
+//  * kSerial — one pass on the calling thread: each warp executes and its
+//    memory requests probe the L2 model inline, block by block in schedule
+//    order.  The only mode that produces traffic counters.
+//  * kFunctionalOnly — real kernel results and arithmetic counters, zero
+//    traffic simulation.  For callers that never look at the memory
+//    counters (optimizer inner loops) this skips the coalescer, the cache
+//    and even address generation.  Given more than one execution context
+//    (EngineOptions::phase1_threads) the blocks run concurrently on a
+//    thread pool.
 //
-// Determinism of the counters: per-block ComputeCounters / SharedCounters
-// are summed in ascending block order (unsigned addition is associative and
-// commutative, so the phase-1 execution order cannot leak in).  FP atomics
-// under a concurrent phase 1 use real atomic RMW — race-free totals with
-// nondeterministic addition order, exactly the §II-D behavior of hardware
-// atomics (serial modes keep the schedule-order application the tests pin).
+// Both modes share one schedule-order loop; only an unchecked functional-only
+// launch with more than one execution context leaves it.
+//
+// Determinism of the counters: ComputeCounters / SharedCounters are sums of
+// unsigned per-block contributions (addition is associative and commutative,
+// so the execution order cannot leak in).  FP atomics under a concurrent
+// launch use real atomic RMW — race-free totals with nondeterministic
+// addition order, exactly the §II-D behavior of hardware atomics (the
+// schedule-order loop keeps the application order the tests pin).
 
 #include <cstdint>
 #include <memory>
@@ -44,7 +42,6 @@
 #include "gpusim/memory.hpp"
 #include "gpusim/pool.hpp"
 #include "gpusim/simcheck.hpp"
-#include "gpusim/trace.hpp"
 #include "gpusim/warp.hpp"
 
 namespace pd::gpusim {
@@ -93,9 +90,25 @@ struct KernelStats {
   }
 };
 
-/// How the engine executes launches.  phase1_threads only affects phase 1 of
-/// kTraceReplay and kFunctionalOnly execution (0 = all hardware threads);
-/// the traffic counters are identical for every value.
+/// How Gpu::run / run_blocks executes a launch.
+enum class TraceMode {
+  kSerial,          ///< Execute + cache-simulate inline, in schedule order.
+  kFunctionalOnly,  ///< Real results, no traffic simulation.
+};
+
+inline const char* to_string(TraceMode mode) {
+  switch (mode) {
+    case TraceMode::kSerial:
+      return "serial";
+    case TraceMode::kFunctionalOnly:
+      return "functional_only";
+  }
+  return "unknown";
+}
+
+/// How the engine executes launches.  phase1_threads is the number of
+/// execution contexts a kFunctionalOnly launch runs its blocks on (0 = all
+/// hardware threads); kSerial launches always run on the calling thread.
 struct EngineOptions {
   TraceMode mode = TraceMode::kSerial;
   unsigned phase1_threads = 0;
@@ -124,7 +137,7 @@ class Gpu {
 
   /// Enable the simcheck analyzer for subsequent launches (memcheck /
   /// racecheck / synccheck / initcheck / determinism-lint, narrowable via
-  /// `cfg`).  Checked launches execute phase 1 serially — the shadow state
+  /// `cfg`).  Checked launches run on the calling thread — the shadow state
   /// is not thread-safe and serial order keeps findings deterministic —
   /// but every counter and kernel result stays bitwise identical.
   void enable_check(const CheckConfig& cfg = CheckConfig::all()) {
@@ -213,11 +226,6 @@ class Gpu {
     return order;
   }
 
-  /// Phase-1 execution contexts for the current options (>= 1).
-  unsigned phase1_contexts() const {
-    return resolve_phase1_threads(opts_.phase1_threads);
-  }
-
   ThreadPool& pool(unsigned contexts) {
     if (!pool_) {
       pool_ = std::make_unique<ThreadPool>(contexts - 1);
@@ -225,14 +233,7 @@ class Gpu {
     return *pool_;
   }
 
-  /// Attach the active analyzer (if any) to a route before handing it to a
-  /// block — the one place the check pointer enters the execution path.
-  MemRoute routed(MemRoute route) {
-    route.set_check(check_.get());
-    return route;
-  }
-
-  /// Mode dispatch shared by run() and run_blocks().  `run_block` executes
+  /// The launch loop shared by run() and run_blocks().  `run_block` executes
   /// one block's warps against a MemRoute, accumulating into the given
   /// ComputeCounters.
   template <typename RunBlock>
@@ -242,89 +243,45 @@ class Gpu {
     stats.blocks_launched = cfg.num_blocks;
     stats.warps_launched = cfg.total_warps();
 
-    const std::vector<std::uint64_t> order =
-        block_order(cfg.num_blocks, schedule_seed);
-
     if (check_) {
       check_->begin_launch(cfg.num_blocks, cfg.warps_per_block());
     }
 
-    switch (opts_.mode) {
-      case TraceMode::kSerial: {
+    const bool simulate = opts_.mode == TraceMode::kSerial;
+    // Checked launches run serially: the shadow state is not thread-safe,
+    // and serial schedule order keeps findings (and FP atomic application)
+    // deterministic.  Counters are parallelism-invariant, so nothing
+    // observable changes.
+    const unsigned contexts =
+        simulate || check_ ? 1 : resolve_phase1_threads(opts_.phase1_threads);
+    if (contexts > 1 && cfg.num_blocks > 1) {
+      std::vector<ComputeCounters> compute(cfg.num_blocks);
+      MemRoute route = MemRoute::functional();
+      route.set_concurrent(true);
+      pool(contexts).parallel_for(cfg.num_blocks, [&](std::size_t block) {
+        run_block(route, compute[block], static_cast<std::uint64_t>(block));
+      });
+      for (const ComputeCounters& c : compute) {
+        stats.compute += c;
+      }
+    } else {
+      // One pass in schedule order: kSerial probes the L2 inline, and FP
+      // atomics apply in the same order in both modes.
+      MemRoute route =
+          simulate ? MemRoute::direct(mem_) : MemRoute::functional();
+      route.set_check(check_.get());
+      if (simulate) {
         if (cold_cache) {
           mem_.invalidate_cache();
         }
         mem_.begin_kernel();
-        ComputeCounters compute;
-        for (const std::uint64_t block : order) {
-          run_block(routed(MemRoute::direct(mem_)), compute, block);
-        }
-        stats.traffic = mem_.end_kernel();
-        stats.compute = compute;
-        break;
       }
-
-      case TraceMode::kFunctionalOnly: {
-        std::vector<ComputeCounters> compute(cfg.num_blocks);
-        // Checked launches run serially: the shadow state is not
-        // thread-safe, and serial schedule order keeps findings (and FP
-        // atomic application) deterministic.  Counters are mode- and
-        // parallelism-invariant, so nothing observable changes.
-        const unsigned contexts = check_ ? 1 : phase1_contexts();
-        if (contexts > 1 && cfg.num_blocks > 1) {
-          MemRoute route = MemRoute::functional();
-          route.set_concurrent(true);
-          pool(contexts).parallel_for(
-              cfg.num_blocks, [&](std::size_t block) {
-                run_block(route, compute[block],
-                          static_cast<std::uint64_t>(block));
-              });
-        } else {
-          // Serial functional execution follows the schedule order so FP
-          // atomics apply exactly as in the serial engine.
-          for (const std::uint64_t block : order) {
-            run_block(routed(MemRoute::functional()), compute[block], block);
-          }
-        }
-        for (const ComputeCounters& c : compute) {
-          stats.compute += c;
-        }
-        break;
+      for (const std::uint64_t block :
+           block_order(cfg.num_blocks, schedule_seed)) {
+        run_block(route, stats.compute, block);
       }
-
-      case TraceMode::kTraceReplay: {
-        // Phase 1: functional execution, recording per-block sector traces.
-        std::vector<BlockTrace> traces(cfg.num_blocks);
-        std::vector<ComputeCounters> compute(cfg.num_blocks);
-        const unsigned contexts = check_ ? 1 : phase1_contexts();
-        if (contexts > 1 && cfg.num_blocks > 1) {
-          pool(contexts).parallel_for(
-              cfg.num_blocks, [&](std::size_t block) {
-                MemRoute route = MemRoute::record(traces[block]);
-                route.set_concurrent(true);
-                run_block(route, compute[block],
-                          static_cast<std::uint64_t>(block));
-              });
-        } else {
-          for (const std::uint64_t block : order) {
-            run_block(routed(MemRoute::record(traces[block])), compute[block],
-                      block);
-          }
-        }
-        // Phase 2: replay through the cache in schedule order — the same
-        // request sequence the serial engine would have issued.
-        if (cold_cache) {
-          mem_.invalidate_cache();
-        }
-        mem_.begin_kernel();
-        for (const std::uint64_t block : order) {
-          mem_.replay(traces[block]);
-        }
+      if (simulate) {
         stats.traffic = mem_.end_kernel();
-        for (const ComputeCounters& c : compute) {
-          stats.compute += c;
-        }
-        break;
       }
     }
 

@@ -16,6 +16,16 @@ unsigned max_sectors_for(unsigned size, LaneMask mask) {
   return popcount_mask(mask) * per_lane;
 }
 
+/// Fill `out` with the sectors of the byte range [addr, addr + size).
+void fill_span(std::uint64_t addr, unsigned size, SectorBuffer& out) {
+  const std::uint64_t first = addr / kSector;
+  const std::uint64_t last = (addr + size - 1) / kSector;
+  out.reserve(static_cast<unsigned>(last - first + 1));
+  for (std::uint64_t s = first; s <= last; ++s) {
+    out.data[out.count++] = s;
+  }
+}
+
 }  // namespace
 
 double TrafficCounters::sectors_per_request() const {
@@ -242,43 +252,16 @@ MemoryModel::MemoryModel(const DeviceSpec& spec)
   CacheModel::check_geometry(l2_bytes_, l2_ways_);
 }
 
-void MemoryModel::apply_request(TraceOp op, bool write,
-                                const std::uint64_t* sectors,
-                                std::uint64_t count) {
+void MemoryModel::probe(const std::uint64_t* sectors, unsigned count,
+                        bool write) {
   PD_ASSERT(cache_.has_value());  // begin_kernel() allocated it
   CacheModel& cache = *cache_;
-  switch (op) {
-    case TraceOp::kWarp:
-      ++counters_.warp_requests;
-      counters_.sectors_requested += count;
-      break;
-    case TraceOp::kScalar:
-      ++counters_.scalar_requests;
-      counters_.scalar_sectors += count;
-      break;
-    case TraceOp::kAtomic:
-      ++counters_.l2_atomic_ops;
-      break;
-  }
-  if (op == TraceOp::kAtomic) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      // Atomics are read-modify-write at the L2: one read + one write request.
-      if (reference_path_) {
-        cache.access_reference(sectors[i], /*write=*/false, counters_);
-        cache.access_reference(sectors[i], /*write=*/true, counters_);
-      } else {
-        cache.access(sectors[i], /*write=*/false, counters_);
-        cache.access(sectors[i], /*write=*/true, counters_);
-      }
-    }
-    return;
-  }
   if (reference_path_) {
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (unsigned i = 0; i < count; ++i) {
       cache.access_reference(sectors[i], write, counters_);
     }
   } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (unsigned i = 0; i < count; ++i) {
       cache.access(sectors[i], write, counters_);
     }
   }
@@ -294,42 +277,26 @@ void MemoryModel::warp_access(const Lanes<std::uint64_t>& addr, unsigned size,
   } else {
     coalesce_warp_sectors(addr, size, mask, scratch_);
   }
-  apply_request(TraceOp::kWarp, write, scratch_.data, scratch_.count);
+  ++counters_.warp_requests;
+  counters_.sectors_requested += scratch_.count;
+  probe(scratch_.data, scratch_.count, write);
 }
 
 void MemoryModel::scalar_access(std::uint64_t addr, unsigned size, bool write) {
-  const std::uint64_t first = addr / kSector;
-  const std::uint64_t last = (addr + size - 1) / kSector;
-  scratch_.reserve(static_cast<unsigned>(last - first + 1));
-  for (std::uint64_t s = first; s <= last; ++s) {
-    scratch_.data[scratch_.count++] = s;
-  }
-  apply_request(TraceOp::kScalar, write, scratch_.data, scratch_.count);
+  fill_span(addr, size, scratch_);
+  ++counters_.scalar_requests;
+  counters_.scalar_sectors += scratch_.count;
+  probe(scratch_.data, scratch_.count, write);
 }
 
 void MemoryModel::atomic_access(std::uint64_t addr, unsigned size) {
-  const std::uint64_t first = addr / kSector;
-  const std::uint64_t last = (addr + size - 1) / kSector;
-  scratch_.reserve(static_cast<unsigned>(last - first + 1));
-  for (std::uint64_t s = first; s <= last; ++s) {
-    scratch_.data[scratch_.count++] = s;
-  }
-  apply_request(TraceOp::kAtomic, /*write=*/false, scratch_.data,
-                scratch_.count);
-}
-
-void MemoryModel::replay(const BlockTrace& trace) {
-  const std::vector<std::uint64_t>& words = trace.words();
-  std::size_t i = 0;
-  const std::size_t end = words.size();
-  while (i < end) {
-    const std::uint64_t header = words[i++];
-    const auto op = static_cast<TraceOp>(header & kTraceOpMask);
-    const bool write = (header >> kTraceWriteBit) & 1u;
-    const std::uint64_t count = header >> kTraceCountShift;
-    PD_ASSERT(i + count <= end);
-    apply_request(op, write, words.data() + i, count);
-    i += count;
+  fill_span(addr, size, scratch_);
+  ++counters_.l2_atomic_ops;
+  // Atomics are read-modify-write at the L2: one read + one write request
+  // per sector.
+  for (unsigned i = 0; i < scratch_.count; ++i) {
+    probe(scratch_.data + i, 1, /*write=*/false);
+    probe(scratch_.data + i, 1, /*write=*/true);
   }
 }
 

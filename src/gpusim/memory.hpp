@@ -28,7 +28,6 @@
 
 #include "gpusim/device.hpp"
 #include "gpusim/lanes.hpp"
-#include "gpusim/trace.hpp"
 
 namespace pd::gpusim {
 
@@ -176,10 +175,6 @@ class MemoryModel {
   /// Atomic read-modify-write of one `size`-byte word, serviced at L2.
   void atomic_access(std::uint64_t addr, unsigned size);
 
-  /// Stream a phase-1 block trace through the cache, reproducing exactly the
-  /// counter updates the direct path would have made.
-  void replay(const BlockTrace& trace);
-
   /// Route subsequent accesses through the seed (reference) coalescer and
   /// cache scan instead of the optimized ones.  Counters are identical
   /// either way; this exists for differential tests and baseline timing.
@@ -201,11 +196,8 @@ class MemoryModel {
   const TrafficCounters& counters() const { return counters_; }
 
  private:
-  /// Shared application of one request's sector list — the single place the
-  /// per-op counter protocol lives, used by both the direct path and
-  /// replay() so the two are equivalent by construction.
-  void apply_request(TraceOp op, bool write, const std::uint64_t* sectors,
-                     std::uint64_t count);
+  /// Probe the L2 with one request's sectors, in order, on the active path.
+  void probe(const std::uint64_t* sectors, unsigned count, bool write);
 
   std::uint64_t l2_bytes_;
   unsigned l2_ways_;
@@ -215,36 +207,25 @@ class MemoryModel {
   bool reference_path_ = false;
 };
 
-/// Dispatch handle a WarpCtx issues memory instructions through.  The engine
-/// wires it to the mode of the launch: direct (serial single-pass), record
-/// (phase 1 of trace-replay, appending to the block's trace), or functional
-/// (no traffic simulation at all).
+/// Handle a WarpCtx issues memory instructions through: the launch's memory
+/// model, or none when the launch skips traffic simulation
+/// (TraceMode::kFunctionalOnly).
 class MemRoute {
  public:
   static MemRoute direct(MemoryModel& mem) {
     MemRoute r;
-    r.mode_ = TraceMode::kSerial;
     r.mem_ = &mem;
     return r;
   }
-  static MemRoute record(BlockTrace& trace) {
-    MemRoute r;
-    r.mode_ = TraceMode::kTraceReplay;
-    r.trace_ = &trace;
-    return r;
-  }
-  static MemRoute functional() {
-    MemRoute r;
-    r.mode_ = TraceMode::kFunctionalOnly;
-    return r;
-  }
+  static MemRoute functional() { return MemRoute{}; }
 
   /// True when the launch skips traffic simulation — WarpCtx uses this to
   /// elide address generation on its vector ops.
-  bool functional_only() const { return mode_ == TraceMode::kFunctionalOnly; }
+  bool functional_only() const { return mem_ == nullptr; }
 
-  /// True when phase 1 runs blocks concurrently: atomic_add_scatter must use
-  /// real atomic RMW instead of a plain read-modify-write.
+  /// True when the launch runs blocks concurrently: atomic_add_scatter must
+  /// use real atomic RMW instead of a plain read-modify-write.  Only
+  /// functional-only launches run concurrently.
   bool concurrent() const { return concurrent_; }
   void set_concurrent(bool on) { concurrent_ = on; }
 
@@ -255,14 +236,24 @@ class MemRoute {
   void set_check(CheckContext* check) { check_ = check; }
 
   void warp_access(const Lanes<std::uint64_t>& addr, unsigned size,
-                   LaneMask mask, bool write);
-  void scalar_access(std::uint64_t addr, unsigned size, bool write);
-  void atomic_access(std::uint64_t addr, unsigned size);
+                   LaneMask mask, bool write) {
+    if (mem_ != nullptr) {
+      mem_->warp_access(addr, size, mask, write);
+    }
+  }
+  void scalar_access(std::uint64_t addr, unsigned size, bool write) {
+    if (mem_ != nullptr) {
+      mem_->scalar_access(addr, size, write);
+    }
+  }
+  void atomic_access(std::uint64_t addr, unsigned size) {
+    if (mem_ != nullptr) {
+      mem_->atomic_access(addr, size);
+    }
+  }
 
  private:
-  TraceMode mode_ = TraceMode::kSerial;
   MemoryModel* mem_ = nullptr;
-  BlockTrace* trace_ = nullptr;
   bool concurrent_ = false;
   CheckContext* check_ = nullptr;
 };

@@ -1,14 +1,14 @@
 #pragma once
-// Minimal caller-participating thread pool for phase 1 of trace-replay
-// execution.
+// Minimal caller-participating thread pool for concurrent functional-only
+// launches (gpusim/launch.hpp) and the native host backend
+// (kernels/native_backend.hpp).
 //
 // The pool owns `workers` threads; parallel_for additionally runs work on the
-// calling thread, so a pool built with resolve_phase1_workers(n) saturates n
-// cores with n-1 worker threads and degrades to plain serial execution (zero
-// threads, zero synchronization overhead per item beyond one atomic) on a
-// single-core host.  Work items are claimed from an atomic counter, so the
-// schedule is dynamic; the engine's determinism never depends on which thread
-// runs which block (see trace.hpp).
+// calling thread, so a pool built with resolve_phase1_threads(n) - 1 workers
+// saturates n cores and degrades to plain serial execution (zero threads,
+// zero synchronization overhead per item beyond one atomic) on a single-core
+// host.  Work items are claimed from an atomic counter, so the schedule is
+// dynamic; no result may depend on which thread runs which item.
 
 #include <atomic>
 #include <cstddef>
@@ -22,7 +22,7 @@
 
 namespace pd::gpusim {
 
-/// Number of phase-1 execution contexts for a requested thread count.
+/// Number of execution contexts for a requested thread count.
 /// 0 = auto (all hardware threads); anything else is clamped to >= 1.
 unsigned resolve_phase1_threads(unsigned requested);
 

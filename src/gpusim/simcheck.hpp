@@ -95,9 +95,10 @@ struct CheckReport {
 
 /// The shadow-state owner.  One per Gpu; hooks are called from WarpCtx /
 /// BlockCtx / the launch loop only when checking is enabled, so none of this
-/// is on the disabled path.  Checked launches run phase 1 serially (the
+/// is on the disabled path.  Checked launches run on the calling thread (the
 /// shadow state is not thread-safe, and serial execution keeps findings
-/// deterministic); counters are unaffected because they are mode-invariant.
+/// deterministic); counters are unaffected because they are
+/// parallelism-invariant.
 class CheckContext {
  public:
   explicit CheckContext(CheckConfig config) : config_(config) {}

@@ -8,10 +8,9 @@
 // threading every memory access through a MemRoute so the traffic counters
 // correspond to what the kernel actually touched.
 //
-// The MemRoute decouples the kernel from the engine mode: in direct mode it
-// feeds the MemoryModel inline (the legacy serial engine); in record mode it
-// appends compacted sector traces for later replay; in functional-only mode
-// it drops the traffic entirely — and WarpCtx then skips building the
+// The MemRoute decouples the kernel from the engine mode: under kSerial it
+// feeds the MemoryModel inline; under kFunctionalOnly it holds no memory
+// model and drops the traffic entirely — and WarpCtx then skips building the
 // per-lane address vectors altogether, which is where most of the
 // functional-only speedup comes from.
 //
@@ -242,8 +241,9 @@ class WarpCtx {
   /// Lanes apply in lane order within the warp; *across* warps the order is
   /// whatever block schedule the launch used — which is exactly why kernels
   /// built on this primitive are not bitwise reproducible (paper §II-D).
-  /// When the engine runs blocks concurrently the addition uses a real atomic
-  /// RMW, mirroring hardware: race-free totals, nondeterministic FP order.
+  /// When the engine runs blocks concurrently (functional-only, so there is
+  /// no traffic to count) the addition uses a real atomic RMW, mirroring
+  /// hardware: race-free totals, nondeterministic FP order.
   template <typename T, typename I>
   void atomic_add_scatter(T* base, const Lanes<I>& idx, const Lanes<T>& val,
                           LaneMask mask) {
@@ -265,8 +265,6 @@ class WarpCtx {
           if (lane_active(mask, i)) {
             std::atomic_ref<T>(base[idx[i]])
                 .fetch_add(val[i], std::memory_order_relaxed);
-            route_.atomic_access(
-                reinterpret_cast<std::uint64_t>(base + idx[i]), sizeof(T));
           }
         }
         note_instr(popcount_mask(mask));

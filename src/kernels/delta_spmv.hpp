@@ -146,7 +146,7 @@ inline std::vector<std::uint32_t> csc_affected_rows(
   return rows;
 }
 
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 /// AVX2 column axpy: four products v_k·Δw at a time (vector multiply, then
 /// scalar scatter-adds — x86 has no scatter store below AVX-512, and the
 /// read-modify-write must stay a single rounded add per entry anyway).  Each
@@ -183,7 +183,7 @@ inline void csc_col_axpy_scalar(const double* __restrict values,
 
 /// Which fast-mode axpy body csc_delta_axpy dispatches on this host.
 inline const char* delta_spmv_variant_name() {
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   if (kHaveAvx2) {
     return "avx2-axpy";
   }
@@ -205,7 +205,7 @@ inline void csc_delta_axpy(const CscSidecar& csc,
     const std::uint32_t c = cols[j];
     const std::uint32_t start = csc.col_ptr[c];
     const std::uint64_t n = csc.col_ptr[c + 1] - start;
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
     if (kHaveAvx2) {
       csc_col_axpy_avx2(csc.values.data() + start, csc.row_idx.data() + start,
                         n, dw[j], dose.data());

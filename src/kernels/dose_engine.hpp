@@ -218,9 +218,9 @@ class DoseEngine {
   /// Touch counts of the most recent apply_delta / compute_delta.
   const DeltaRun& last_delta() const { return last_delta_; }
 
-  /// Select how the simulated GPU executes launches (serial, trace-replay,
-  /// or functional-only — see gpusim/trace.hpp).  Dose values are identical
-  /// in every mode; traffic counters are zero under functional-only.
+  /// Select how the simulated GPU executes launches (serial or
+  /// functional-only — see gpusim/launch.hpp).  Dose values are identical
+  /// in both modes; traffic counters are zero under functional-only.
   void set_engine_options(const gpusim::EngineOptions& opts);
   const gpusim::EngineOptions& engine_options() const;
 

@@ -34,14 +34,13 @@
 #include "kernels/rowsplit_csr.hpp"
 #include "kernels/spmv_common.hpp"
 
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 #include <immintrin.h>
-#define PD_NATIVE_F16C_DISPATCH 1
 #endif
 
 namespace pd::kernels {
 
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 /// Hardware half->float conversion (VCVTPH2PS).  IEEE-754 defines a unique
 /// binary32 image for every binary16 value and both this instruction and
 /// half_bits_to_float implement exactly that mapping (subnormals included;
@@ -64,7 +63,7 @@ __attribute__((target("f16c"))) inline void half_chunk_to_float_f16c(
 /// Convert a chunk of matrix halves to binary32 (exact widening), using the
 /// hardware converter when the CPU has one.
 inline void half_chunk_to_float(const pd::Half* v, unsigned n, float* out) {
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   if (kHaveF16c) {
     half_chunk_to_float_f16c(v, n, out);
     return;
@@ -154,7 +153,7 @@ inline Acc native_row_product(const MatV* values, const IdxT* col_idx,
   return native_reduce_tail(&acc[0], gpusim::kWarpSize);
 }
 
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 /// AVX2 forms of the batched inner loops.  Each vector lane performs the
 /// scalar code's exact mul-then-add (separate _mm256_mul / _mm256_add — never
 /// an FMA, honoring the -ffp-contract=off reproducibility contract), and
@@ -241,8 +240,6 @@ __attribute__((target("avx2"))) inline void batch_first_madd_avx2(
     a[j] = 0.0f + v * xc[j];
   }
 }
-
-inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
 
 /// a[j] = a[j] + v * xc[j] across the batch block (one non-zero feeding all
@@ -250,7 +247,7 @@ inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
 template <typename Acc>
 inline void batch_madd(Acc* __restrict a, Acc v, const Acc* __restrict xc,
                        std::size_t batch) {
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   if constexpr (std::is_same_v<Acc, double> || std::is_same_v<Acc, float>) {
     if (kHaveAvx2) {
       batch_madd_avx2(a, v, xc, batch);
@@ -268,7 +265,7 @@ inline void batch_madd(Acc* __restrict a, Acc v, const Acc* __restrict xc,
 template <typename Acc>
 inline void batch_first_madd(Acc* __restrict a, Acc v,
                              const Acc* __restrict xc, std::size_t batch) {
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   if constexpr (std::is_same_v<Acc, double> || std::is_same_v<Acc, float>) {
     if (kHaveAvx2) {
       batch_first_madd_avx2(a, v, xc, batch);
@@ -285,7 +282,7 @@ inline void batch_first_madd(Acc* __restrict a, Acc v,
 template <typename Acc>
 inline void batch_add(Acc* __restrict a, const Acc* __restrict b,
                       std::size_t batch) {
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   if constexpr (std::is_same_v<Acc, double> || std::is_same_v<Acc, float>) {
     if (kHaveAvx2) {
       batch_add_avx2(a, b, batch);
@@ -353,7 +350,7 @@ inline void native_row_product_batch_lanes(const MatV* values,
   }
 }
 
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 /// AVX2-enabled clone of native_row_product_batch_lanes (the target attribute
 /// only widens codegen: vmulpd/vaddpd stay separate — AVX2 does not imply FMA
 /// and -ffp-contract=off holds — so every per-element rounding is identical
@@ -383,7 +380,7 @@ __attribute__((target("avx2"))) inline void native_row_product_batch_lanes_avx2(
     }
   }
 }
-#endif  // PD_NATIVE_F16C_DISPATCH
+#endif  // PD_X86_DISPATCH
 
 /// Dispatch a long row to the fixed-width lane-outer kernel when the batch
 /// width has an instantiation; false means the caller runs the generic path.
@@ -395,7 +392,7 @@ inline bool native_row_product_batch_fixed(const MatV* values,
                                            std::uint64_t end, Acc* acc) {
   const auto run = [&](auto width) {
     constexpr unsigned kB = decltype(width)::value;
-#if defined(PD_NATIVE_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
     if (kHaveAvx2) {
       native_row_product_batch_lanes_avx2<kB>(values, col_idx, x_int, start,
                                               end, acc);

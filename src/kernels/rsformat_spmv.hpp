@@ -35,13 +35,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fp16/half.hpp"  // PD_X86_DISPATCH and the CPU feature flags
 #include "kernels/native_backend.hpp"
 #include "rsformat/rsmatrix.hpp"
 #include "sparse/partition.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(PD_X86_DISPATCH)
 #include <immintrin.h>
-#define PD_RSFORMAT_SIMD_DISPATCH 1
 #endif
 
 namespace pd::kernels {
@@ -65,9 +65,7 @@ inline void rsformat_column_scalar(const std::uint16_t* deltas,
   }
 }
 
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
-
-inline const bool kHaveRsformatAvx2 = __builtin_cpu_supports("avx2") != 0;
+#if defined(PD_X86_DISPATCH)
 
 /// Inclusive prefix sum of 8 u32 across the full 256-bit register
 /// (log-step shifts within each 128-bit lane, then carry the low lane's
@@ -172,13 +170,13 @@ __attribute__((target("avx2"))) inline void rsformat_column_avx2(
   }
 }
 
-#endif  // PD_RSFORMAT_SIMD_DISPATCH
+#endif  // PD_X86_DISPATCH
 
 /// Whether the AVX2 fused decoder will run on this host (used for bench /
 /// CLI reporting; the kernel itself always dispatches safely).
 inline bool rsformat_spmv_has_avx2() {
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
-  return kHaveRsformatAvx2;
+#if defined(PD_X86_DISPATCH)
+  return kHaveAvx2;
 #else
   return false;
 #endif
@@ -216,8 +214,8 @@ inline void rsformat_spmv(const rsformat::RsMatrix& m,
   const std::uint16_t* qvalues = m.qvalues().data();
   const double* xp = x.data();
 
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
-  const bool use_avx2 = allow_simd && kHaveRsformatAvx2 &&
+#if defined(PD_X86_DISPATCH)
+  const bool use_avx2 = allow_simd && kHaveAvx2 &&
                         m.num_rows() < (std::uint64_t{1} << 31);
 #else
   const bool use_avx2 = false;
@@ -232,7 +230,7 @@ inline void rsformat_spmv(const rsformat::RsMatrix& m,
         continue;  // zero weight or empty spot: no contribution.
       }
       const double scale = static_cast<double>(col_scale[c]);
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
       if (use_avx2) {
         rsformat_column_avx2(deltas, qvalues, col_ptr[c], col_ptr[c + 1],
                              col_first_row[c], scale, w, out);
@@ -309,7 +307,7 @@ inline void rsformat_column_scalar_batch(
   }
 }
 
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 
 /// K-lane scatter of one dequantized slot: acc[r*K + j] += d * wk[j]
 /// (4-wide vector body + scalar tail; mul then add, the scalar rounding).
@@ -408,7 +406,7 @@ __attribute__((target("avx2"))) inline void rsformat_column_avx2_batch(
   }
 }
 
-#endif  // PD_RSFORMAT_SIMD_DISPATCH
+#endif  // PD_X86_DISPATCH
 
 /// K doses from K weight vectors in one traversal of the compressed streams.
 /// `xs[j]` is weight vector j (num_cols doubles), `ys[j]` the dose output
@@ -446,8 +444,8 @@ inline void rsformat_spmv_batch(const rsformat::RsMatrix& m,
     }
   }
 
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
-  const bool use_avx2 = allow_simd && kHaveRsformatAvx2 &&
+#if defined(PD_X86_DISPATCH)
+  const bool use_avx2 = allow_simd && kHaveAvx2 &&
                         num_rows < (std::uint64_t{1} << 31);
 #else
   const bool use_avx2 = false;
@@ -469,7 +467,7 @@ inline void rsformat_spmv_batch(const rsformat::RsMatrix& m,
         continue;  // all-zero weights: every lane's kernel would skip.
       }
       const double scale = static_cast<double>(col_scale[c]);
-#if defined(PD_RSFORMAT_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
       if (use_avx2) {
         rsformat_column_avx2_batch(deltas, qvalues, col_ptr[c], col_ptr[c + 1],
                                    col_first_row[c], scale, wk, batch, acc);

@@ -25,14 +25,14 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fp16/half.hpp"  // PD_X86_DISPATCH and the CPU feature flags
 #include "kernels/native_backend.hpp"
 #include "kernels/spmv_common.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sellcs.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(PD_X86_DISPATCH)
 #include <immintrin.h>
-#define PD_SELLCS_SIMD_DISPATCH 1
 #endif
 
 namespace pd::kernels {
@@ -57,11 +57,7 @@ inline void sellcs_chunk_scalar(const V* values, const I* col_idx,
   }
 }
 
-#if defined(PD_SELLCS_SIMD_DISPATCH)
-
-inline const bool kHaveSellcsAvx2 = __builtin_cpu_supports("avx2") != 0;
-inline const bool kHaveSellcsAvx512 =
-    __builtin_cpu_supports("avx512f") != 0;
+#if defined(PD_X86_DISPATCH)
 
 /// AVX2: lane groups of 4; per step j a contiguous 4-float value load, a
 /// contiguous 4-index load, and a gathered 4-double x read.  mul then add —
@@ -109,16 +105,16 @@ __attribute__((target("avx512f"))) inline void sellcs_chunk_avx512(
   }
 }
 
-#endif  // PD_SELLCS_SIMD_DISPATCH
+#endif  // PD_X86_DISPATCH
 
 /// SIMD variant the float/u32 kernel will use for chunk height C on this
 /// host (bench / CLI reporting; dispatch in the kernel matches this).
 inline const char* sellcs_spmv_variant_name(std::uint32_t chunk_height) {
-#if defined(PD_SELLCS_SIMD_DISPATCH)
-  if (kHaveSellcsAvx512 && chunk_height % 8 == 0) {
+#if defined(PD_X86_DISPATCH)
+  if (kHaveAvx512f && chunk_height % 8 == 0) {
     return "avx512";
   }
-  if (kHaveSellcsAvx2 && chunk_height % 4 == 0) {
+  if (kHaveAvx2 && chunk_height % 4 == 0) {
     return "avx2";
   }
 #else
@@ -153,13 +149,13 @@ void sellcs_spmv(const sparse::SellCsMatrix<V, I>& m, std::span<const double> x,
   const double* xp = x.data();
   double* yp = y.data();
 
-#if defined(PD_SELLCS_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   constexpr bool kSimdTypes =
       std::is_same_v<V, float> && std::is_same_v<I, std::uint32_t>;
   const bool use_avx512 =
-      allow_simd && kSimdTypes && kHaveSellcsAvx512 && C % 8 == 0;
+      allow_simd && kSimdTypes && kHaveAvx512f && C % 8 == 0;
   const bool use_avx2 =
-      allow_simd && kSimdTypes && kHaveSellcsAvx2 && C % 4 == 0;
+      allow_simd && kSimdTypes && kHaveAvx2 && C % 4 == 0;
 #else
   (void)allow_simd;
 #endif
@@ -176,7 +172,7 @@ void sellcs_spmv(const sparse::SellCsMatrix<V, I>& m, std::span<const double> x,
          ++c) {
       const std::uint64_t base = m.chunk_ptr[c];
       const std::uint32_t width = m.chunk_width[c];
-#if defined(PD_SELLCS_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
       if constexpr (kSimdTypes) {
         if (use_avx512) {
           sellcs_chunk_avx512(reinterpret_cast<const float*>(values),
@@ -245,7 +241,7 @@ inline void sellcs_q_chunk_scalar(const std::uint16_t* qvalues,
   }
 }
 
-#if defined(PD_SELLCS_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 
 /// AVX2, quantized: lane groups of 4; per step j a contiguous 4×u16 value
 /// load and 4×u16 index load (widened in-register), a gathered 4-float scale
@@ -275,14 +271,14 @@ __attribute__((target("avx2"))) inline void sellcs_q_chunk_avx2(
   }
 }
 
-#endif  // PD_SELLCS_SIMD_DISPATCH
+#endif  // PD_X86_DISPATCH
 
 /// SIMD variant the quantized kernel will use for chunk height C on this
 /// host (no AVX-512 clone yet: the u16 gathers gain less than the float
 /// container's 8-lane loads).
 inline const char* sellcs_q_spmv_variant_name(std::uint32_t chunk_height) {
-#if defined(PD_SELLCS_SIMD_DISPATCH)
-  if (kHaveSellcsAvx2 && chunk_height % 4 == 0) {
+#if defined(PD_X86_DISPATCH)
+  if (kHaveAvx2 && chunk_height % 4 == 0) {
     return "avx2";
   }
 #else
@@ -317,8 +313,8 @@ inline void sellcs_q_spmv(const sparse::SellCsQMatrix& m,
   const double* xp = x.data();
   double* yp = y.data();
 
-#if defined(PD_SELLCS_SIMD_DISPATCH)
-  const bool use_avx2 = allow_simd && kHaveSellcsAvx2 && C % 4 == 0;
+#if defined(PD_X86_DISPATCH)
+  const bool use_avx2 = allow_simd && kHaveAvx2 && C % 4 == 0;
 #else
   (void)allow_simd;
 #endif
@@ -335,7 +331,7 @@ inline void sellcs_q_spmv(const sparse::SellCsQMatrix& m,
          ++c) {
       const std::uint64_t base = m.chunk_ptr[c];
       const std::uint32_t width = m.chunk_width[c];
-#if defined(PD_SELLCS_SIMD_DISPATCH)
+#if defined(PD_X86_DISPATCH)
       if (use_avx2) {
         sellcs_q_chunk_avx2(qvalues, col_idx, col_scale, base, width, C, xp,
                             lane_out.data());

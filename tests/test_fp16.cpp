@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "fp16/half.hpp"
 
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 #include <cpuid.h>
 #include <immintrin.h>
 #endif
@@ -308,7 +308,7 @@ TEST(HalfBulk, NanAtEveryBlockPosition) {
   }
 }
 
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
 /// XINUSE bit 2: set while the upper halves of the YMM registers are dirty.
 __attribute__((target("xsave"))) bool upper_ymm_dirty() {
   return (_xgetbv(1) & 0x4u) != 0;
@@ -319,7 +319,7 @@ __attribute__((target("avx"))) void clear_upper_ymm() { _mm256_zeroupper(); }
 TEST(HalfBulk, ReturnsWithCleanUpperYmmState) {
   // Dirty upper YMM state left behind makes all later legacy-SSE code of the
   // calling thread slower, so every exit path must clear it.
-#if defined(PD_F16C_DISPATCH)
+#if defined(PD_X86_DISPATCH)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   __cpuid_count(0xd, 1, eax, ebx, ecx, edx);
   if (!kHaveF16c || (eax & 0x4u) == 0) {

@@ -46,7 +46,6 @@ using gpusim::WarpCtx;
 
 const EngineOptions kAllModes[] = {
     {TraceMode::kSerial, 0},
-    {TraceMode::kTraceReplay, 4},
     {TraceMode::kFunctionalOnly, 2},
 };
 

@@ -80,6 +80,29 @@ void sequenced_threads(const std::function<void()>& first,
   b.join();
 }
 
+/// Run `first` and `second` on two coexisting threads released at the same
+/// moment by an uninstrumented start flag, so both reach their first
+/// instrumented operation together.
+void released_together(const std::function<void()>& first,
+                       const std::function<void()>& second) {
+  std::atomic<int> arrived{0};
+  std::atomic<bool> go{false};
+  const auto run = [&](const std::function<void()>& body) {
+    arrived.fetch_add(1, std::memory_order_relaxed);
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    body();
+  };
+  std::thread a(run, std::cref(first));
+  std::thread b(run, std::cref(second));
+  while (arrived.load(std::memory_order_relaxed) < 2) {
+    std::this_thread::yield();
+  }
+  go.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+}
+
 // ---------------------------------------------------------------------------
 // race pass
 // ---------------------------------------------------------------------------
@@ -182,6 +205,28 @@ TEST(ThreadcheckRace, FlagsOverlappingPartition) {
     b.join();
   });
   expect_only(report, FindingKind::kDataRace, 1);
+}
+
+TEST(ThreadcheckRace, FirstUseFromTwoThreadsKeepsOneObject) {
+  // Primitives register lazily, on first instrumented use.  Two threads
+  // that touch a fresh primitive at the same moment both find it
+  // unregistered; both must still record under one object id, or the
+  // overlapping writes land on two objects and the race goes unreported.
+  constexpr int kRounds = 200;
+  int split_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    SharedRange rows{"fixture.first_use"};
+    const Report report = run_session({}, [&] {
+      released_together([&] { rows.write(0, 60); },
+                        [&] { rows.write(50, 100); });
+    });
+    if (report.count(FindingKind::kDataRace) != 1 ||
+        report.findings.size() != 1) {
+      ++split_rounds;
+    }
+  }
+  EXPECT_EQ(split_rounds, 0) << "rounds without exactly one race finding, of "
+                             << kRounds;
 }
 
 TEST(ThreadcheckRace, PassCanBeDisabled) {
@@ -398,7 +443,7 @@ TEST(ThreadcheckLatency, PassCanBeDisabled) {
 // ---------------------------------------------------------------------------
 
 TEST(ThreadcheckStack, ThreadPoolRunsClean) {
-  // The gpusim phase-1 pool under full instrumentation: the generation
+  // The gpusim thread pool under full instrumentation: the generation
   // handshake must order every batch-descriptor access, across batches.
   const Report report = run_session({}, [&] {
     gpusim::ThreadPool pool(3);
