@@ -54,22 +54,49 @@ std::optional<Measurement> measure_kernel(gpusim::Gpu& gpu,
                                           const BenchBeam& beam,
                                           unsigned threads_per_block = 0);
 
-/// Wallclock seconds per call of `body()`: one warm-up call, then timed
-/// calls until at least 5 have run and at least `min_seconds` have passed.
+/// Wallclock seconds per call of `body()`: untimed warm-up calls for at
+/// least `min_seconds / 2` (so worker pools and core clocks reach a steady
+/// state whatever ran before), then timed calls until at least 5 have run
+/// and at least `min_seconds` have passed.
 template <typename Body>
 double time_per_call(const Body& body, double min_seconds) {
-  body();  // warm-up
+  const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const auto warm0 = std::chrono::steady_clock::now();
+  do {
+    body();
+  } while (seconds_since(warm0) < 0.5 * min_seconds);
   const auto t0 = std::chrono::steady_clock::now();
   int reps = 0;
   double elapsed = 0.0;
   do {
     body();
     ++reps;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    elapsed = seconds_since(t0);
   } while (reps < 5 || elapsed < min_seconds);
   return elapsed / reps;
+}
+
+/// Interleaved min-over-rounds: each round calls `run(i)` once for every
+/// configuration i in turn, and each configuration keeps its fastest round.
+/// Round-robin exposes every configuration to the same host drift, which on
+/// a shared host moves throughput on a seconds scale, instead of penalizing
+/// whichever one ran during a slow stretch.  `run` returns seconds.
+template <typename Run>
+std::vector<double> min_over_rounds(std::size_t configs, std::size_t rounds,
+                                    const Run& run) {
+  std::vector<double> best(configs, 0.0);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t i = 0; i < configs; ++i) {
+      const double seconds = run(i);
+      if (round == 0 || seconds < best[i]) {
+        best[i] = seconds;
+      }
+    }
+  }
+  return best;
 }
 
 /// Write rows to bench_results/<name>.csv (directory created on demand).

@@ -6,7 +6,7 @@
 // the affected rows' CSR entries (kBitwise) instead of the whole matrix, so
 // cost is proportional to |Δw| nnz.  Two timings per mode: `us_delta_*`
 // includes the result-vector copy (the compute_delta API), `us_apply_*` is
-// the in-place apply_delta — the shape the optimizer warm-start loop issues.
+// the in-place apply_delta — the shape an incremental-update loop issues.
 // In-place timing uses weight alternation (w -> w' -> w -> ...) so every rep
 // performs one same-sized update; in bitwise mode the dose returns to the
 // exact base bits every second rep.  Results land in

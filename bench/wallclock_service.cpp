@@ -100,12 +100,9 @@ int main() {
   }
 
   // One live service per configuration, all warmed up front, then timed
-  // round-robin: each round replays the same stream through every config
-  // back-to-back and the per-config minimum over rounds is reported.
-  // Interleaving matters more than repetition here — the container core's
-  // throughput drifts on a seconds scale, and round-robin rounds expose every
-  // config to the same drift instead of penalizing whichever ran during a
-  // slow stretch.
+  // round-robin (pd::bench::min_over_rounds): each round replays the same
+  // stream through every config back-to-back, and each config reports its
+  // fastest round.
   const unsigned kWorkers[] = {1, 2, 4};
   const std::size_t kCaps[] = {1, 4, 9};
   const pd::sparse::CsrF64& matrix = beam.matrix;
@@ -125,15 +122,9 @@ int main() {
       results.push_back(r);
     }
   }
-  std::vector<double> best_s(services.size(), 0.0);
-  for (int round = 0; round < 4; ++round) {
-    for (std::size_t i = 0; i < services.size(); ++i) {
-      const double elapsed = replay_once(*services[i], stream);
-      if (best_s[i] == 0.0 || elapsed < best_s[i]) {
-        best_s[i] = elapsed;
-      }
-    }
-  }
+  const std::vector<double> best_s = pd::bench::min_over_rounds(
+      services.size(), 4,
+      [&](std::size_t i) { return replay_once(*services[i], stream); });
   for (std::size_t i = 0; i < services.size(); ++i) {
     const pd::service::ServiceStats stats = services[i]->stats();
     results[i].req_per_s = static_cast<double>(kRequests) / best_s[i];

@@ -154,9 +154,7 @@ int main() {
 
   // One live service per shard count, identical per-shard configuration.
   // Warmed up front (the warm replay doubles as the bitwise cross-check),
-  // then timed in interleaved rounds — the container core's throughput
-  // drifts on a seconds scale, and round-robin rounds expose every config
-  // to the same drift.  Per-config minimum over rounds is reported.
+  // then timed in interleaved rounds (pd::bench::min_over_rounds).
   const std::size_t kShardCounts[] = {1, 2, 4};
   std::vector<std::unique_ptr<pd::service::ShardedDoseService>> services;
   std::vector<ConfigResult> results;
@@ -194,15 +192,9 @@ int main() {
     throw pd::Error("wallclock_shard: doses differ across shard counts");
   }
 
-  std::vector<double> best_s(services.size(), 0.0);
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    for (std::size_t i = 0; i < services.size(); ++i) {
-      const double elapsed = replay_once(*services[i], plans, stream);
-      if (best_s[i] == 0.0 || elapsed < best_s[i]) {
-        best_s[i] = elapsed;
-      }
-    }
-  }
+  const std::vector<double> best_s = pd::bench::min_over_rounds(
+      services.size(), kRounds,
+      [&](std::size_t i) { return replay_once(*services[i], plans, stream); });
   for (std::size_t i = 0; i < services.size(); ++i) {
     const pd::service::ShardedServiceStats stats = services[i]->stats();
     results[i].req_per_s = static_cast<double>(kRequests) / best_s[i];

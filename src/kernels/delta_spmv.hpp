@@ -217,47 +217,6 @@ inline void csc_delta_axpy(const CscSidecar& csc,
   }
 }
 
-/// native_adaptive_item with the final stores widened to double: the bitwise
-/// delta replay writes directly into the double dose vector, and for
-/// Mode::kSingle an adaptive group recomputes float values for *all* rows in
-/// the item (the segmented scan couples them), so unaffected group-mates are
-/// rewritten with the same bits the full compute produced.  For Acc = double
-/// the widening cast is the identity.
-template <typename Acc, typename MatV, typename IdxT>
-inline void native_adaptive_item_widen(const std::uint32_t* row_ptr,
-                                       const MatV* values, const IdxT* col_idx,
-                                       const Acc* x, double* dose,
-                                       const AdaptiveWorkItem& item) {
-  if (item.long_row != 0) {
-    const std::uint32_t row = item.row_begin;
-    dose[row] = static_cast<double>(native_row_product(
-        values, col_idx, x, row_ptr[row], row_ptr[row + 1]));
-    return;
-  }
-  const std::uint32_t start = row_ptr[item.row_begin];
-  const std::uint32_t end = row_ptr[item.row_end];
-  const unsigned count = end - start;
-
-  Acc incl[gpusim::kWarpSize];  // lanes >= count stay unread
-  for (unsigned lane = 0; lane < count; ++lane) {
-    const std::uint32_t k = start + lane;
-    incl[lane] = convert_value<Acc>(values[k]) * x[col_idx[k]];
-  }
-  gpusim::LaneMask heads = 0;
-  for (std::uint32_t r = item.row_begin; r < item.row_end; ++r) {
-    const std::uint32_t rs = row_ptr[r];
-    if (rs < end && rs >= start && row_ptr[r + 1] > rs) {
-      heads |= (gpusim::LaneMask{1} << (rs - start));
-    }
-  }
-  native_segmented_inclusive_sum(incl, heads, count);
-  for (std::uint32_t r = item.row_begin; r < item.row_end; ++r) {
-    const std::uint32_t rs = row_ptr[r];
-    const std::uint32_t re = row_ptr[r + 1];
-    dose[r] = static_cast<double>((re > rs) ? incl[re - 1 - start] : Acc{});
-  }
-}
-
 /// Engine-owned lazy state for compute_delta: the CSC sidecar, the
 /// row→work-item maps the grouped families' bitwise replay needs, and
 /// reusable scratch.  DoseEngine builds it once (ensure_delta_context);

@@ -302,8 +302,8 @@ void DoseEngine::delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
     native_.run(part.parts(), [&](std::size_t p) {
       for (std::uint64_t i = part.boundaries[p]; i < part.boundaries[p + 1];
            ++i) {
-        native_adaptive_item_widen(row_ptr, values, col_idx, x.data(),
-                                   dose.data(), adaptive_worklist_[items[i]]);
+        native_adaptive_item(row_ptr, values, col_idx, x.data(), dose.data(),
+                             adaptive_worklist_[items[i]]);
       }
     });
     return;

@@ -544,15 +544,19 @@ inline void native_segmented_inclusive_sum(Acc* out, gpusim::LaneMask heads,
 /// One adaptive work item: long rows take the vector path; short-row groups
 /// form the per-lane products and reduce them with the same segmented
 /// inclusive sum (and the same head-flag construction) as the kernel.
-template <typename Acc, typename MatV, typename IdxT>
+/// `Out` widens the final stores: the bitwise delta replay writes straight
+/// into the double dose vector, where static_cast<double> is exactly the
+/// full compute's float→double transform for Mode::kSingle.
+template <typename Acc, typename MatV, typename IdxT, typename Out = Acc>
 inline void native_adaptive_item(const std::uint32_t* row_ptr,
                                  const MatV* values, const IdxT* col_idx,
-                                 const Acc* x, Acc* y,
+                                 const Acc* x, Out* y,
                                  const AdaptiveWorkItem& item) {
   if (item.long_row != 0) {
     const std::uint32_t row = item.row_begin;
-    y[row] = native_row_product(values, col_idx, x, row_ptr[row],
-                                row_ptr[row + 1]);
+    y[row] = static_cast<Out>(native_row_product(values, col_idx, x,
+                                                 row_ptr[row],
+                                                 row_ptr[row + 1]));
     return;
   }
   const std::uint32_t start = row_ptr[item.row_begin];
@@ -575,7 +579,7 @@ inline void native_adaptive_item(const std::uint32_t* row_ptr,
   for (std::uint32_t r = item.row_begin; r < item.row_end; ++r) {
     const std::uint32_t rs = row_ptr[r];
     const std::uint32_t re = row_ptr[r + 1];
-    y[r] = (re > rs) ? incl[re - 1 - start] : Acc{};
+    y[r] = static_cast<Out>((re > rs) ? incl[re - 1 - start] : Acc{});
   }
 }
 

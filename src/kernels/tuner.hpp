@@ -115,39 +115,6 @@ inline FastFormatChoice choose_fast_format(std::uint64_t rsformat_bytes,
   return c;
 }
 
-/// Delta-vs-full breakeven (docs/delta_engine.md).  A bitwise delta update
-/// streams roughly the affected fraction of the matrix; the fast delta
-/// streams only the changed columns' sidecar entries — 8 B value + 4 B row
-/// index + a 16 B dose read-modify-write per nnz, ~28 B.  Both are DRAM-bound
-/// like every product here, so the tuner compares streamed bytes: delta wins
-/// while changed_frac · cols · (nnz/cols) · 28 B < full CSR bytes.  Ties go
-/// to the full recompute (one pass, no worklist bookkeeping).
-struct DeltaThreshold {
-  double breakeven_changed_frac = 1.0;  ///< delta wins strictly below this.
-  std::uint64_t full_bytes = 0;         ///< CSR bytes one full product streams.
-  double delta_bytes_per_col = 0.0;     ///< mean delta bytes per changed column.
-
-  bool prefer_delta(double changed_frac) const {
-    return changed_frac < breakeven_changed_frac;
-  }
-};
-
-inline DeltaThreshold delta_threshold(std::uint64_t csr_bytes,
-                                      std::uint64_t nnz, std::uint64_t cols) {
-  DeltaThreshold t;
-  t.full_bytes = csr_bytes;
-  if (cols == 0 || nnz == 0) {
-    return t;  // empty matrix: any "update" is free, keep breakeven at 1.
-  }
-  t.delta_bytes_per_col =
-      static_cast<double>(nnz) / static_cast<double>(cols) * 28.0;
-  const double all_cols_delta_bytes =
-      t.delta_bytes_per_col * static_cast<double>(cols);
-  t.breakeven_changed_frac =
-      std::min(1.0, static_cast<double>(csr_bytes) / all_cols_delta_bytes);
-  return t;
-}
-
 /// `run_at(tpb)` must launch the kernel with that block size and return the
 /// SpmvRun; `mean_work_per_warp` feeds the perf model (see gpusim::PerfInput).
 template <typename RunFn>

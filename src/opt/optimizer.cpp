@@ -1,12 +1,10 @@
 #include "opt/optimizer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <deque>
 
 #include "common/error.hpp"
-#include "kernels/tuner.hpp"
 #include "sparse/coo.hpp"
 
 namespace pd::opt {
@@ -60,20 +58,6 @@ std::vector<double> lbfgs_direction(const std::vector<double>& grad,
   return q;
 }
 
-/// Fraction of weights that changed *bitwise* — what compute_delta will
-/// actually treat as changed (diff_weights compares bits too).
-double changed_fraction(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  std::size_t changed = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    changed += std::bit_cast<std::uint64_t>(a[i]) !=
-               std::bit_cast<std::uint64_t>(b[i]);
-  }
-  return a.empty() ? 0.0
-                   : static_cast<double>(changed) /
-                         static_cast<double>(a.size());
-}
-
 }  // namespace
 
 PlanOptimizer::PlanOptimizer(const sparse::CsrF64& D, DoseObjective objective,
@@ -112,23 +96,6 @@ OptimizerResult PlanOptimizer::optimize() {
     return transpose_.compute(gdose);
   };
   std::vector<double> gx = spot_gradient(dose);
-
-  // Warm-start state: switch to bitwise delta solves once the changed
-  // fraction of accepted steps stays below the breakeven threshold.
-  double delta_breakeven = config_.delta_changed_frac;
-  if (delta_breakeven < 0.0) {
-    const sparse::MatrixStats& st = forward_.stats();
-    const std::uint64_t value_bytes =
-        config_.mode == kernels::DoseEngine::Mode::kHalfDouble
-            ? 2
-            : (config_.mode == kernels::DoseEngine::Mode::kSingle ? 4 : 8);
-    delta_breakeven =
-        kernels::delta_threshold(st.csr_bytes(value_bytes, 4), st.nnz,
-                                 st.cols)
-            .breakeven_changed_frac;
-  }
-  bool warm = false;
-  unsigned stable = 0;
 
   std::deque<CurvaturePair> history;
   double step = config_.initial_step;
@@ -175,29 +142,10 @@ OptimizerResult PlanOptimizer::optimize() {
       for (std::uint64_t i = 0; i < num_spots; ++i) {
         x_new[i] = std::max(0.0, x[i] + trial_step * direction[i]);
       }
-      // The delta replay is bitwise equal to forward_.compute(x_new), so
-      // which branch runs never changes the trajectory — only its cost.
-      const double frac = changed_fraction(x, x_new);
-      std::vector<double> dose_new;
-      if (config_.delta_warm_start && warm && frac < delta_breakeven) {
-        dose_new = forward_.compute_delta(dose, x, x_new);
-        ++result.delta_spmv_count;
-      } else {
-        dose_new = forward_.compute(x_new);
-      }
+      std::vector<double> dose_new = forward_.compute(x_new);
       ++result.spmv_count;
       const double f_new = objective_.value(dose_new);
       if (f_new < fx) {
-        if (config_.delta_warm_start && !warm) {
-          if (frac < delta_breakeven) {
-            if (++stable >= config_.delta_stable_iters) {
-              warm = true;
-              result.warm_start_iteration = it + 1;
-            }
-          } else {
-            stable = 0;
-          }
-        }
         std::vector<double> gx_new = spot_gradient(dose_new);
         if (config_.method == OptimizerMethod::kLbfgs) {
           CurvaturePair pair;

@@ -50,19 +50,6 @@ struct OptimizerConfig {
   /// Native-backend threads (0 = all hardware threads); any value yields the
   /// same bits.
   unsigned native_threads = 0;
-  /// Warm-start delta solves (docs/delta_engine.md): the non-negativity
-  /// projection pins spots at zero, so the changed-weight fraction between
-  /// iterates shrinks as the active set stabilizes.  Once it has stayed
-  /// below the breakeven threshold for `delta_stable_iters` consecutive
-  /// accepted iterations, forward products switch from full compute to
-  /// bitwise compute_delta — bitwise identical to the full compute, so the
-  /// optimization trajectory is unchanged and default-on is safe.  Trials
-  /// whose changed fraction exceeds the threshold still run full computes.
-  bool delta_warm_start = true;
-  /// Changed-fraction breakeven; < 0 derives it from streamed-bytes
-  /// arithmetic (kernels::delta_threshold on the stored matrix).
-  double delta_changed_frac = -1.0;
-  unsigned delta_stable_iters = 2;
 };
 
 struct OptimizerResult {
@@ -80,12 +67,10 @@ struct OptimizerResult {
   /// precision conversions) before the first iteration, plus any engines
   /// built lazily during the run.
   double setup_seconds = 0.0;
-  /// Forward products served by bitwise compute_delta after warm start
-  /// (a subset of spmv_count; 0 when the warm start never engaged).
+  /// Never incremented: every forward product is a full compute.  Kept
+  /// only because dosebench/src/opt_probe.cpp reads it and reports it as
+  /// opt.delta_products; it goes once that probe drops the read.
   std::uint64_t delta_spmv_count = 0;
-  /// 1-based accepted iteration at which delta solves switched on
-  /// (0 = never).
-  unsigned warm_start_iteration = 0;
 };
 
 class PlanOptimizer {

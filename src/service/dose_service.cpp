@@ -137,77 +137,37 @@ double DoseService::retry_after_hint() const {
 Ticket DoseService::submit(const std::string& plan,
                            std::vector<double> weights,
                            const SubmitOptions& options) {
-  std::promise<DoseResult> promise;
-  Ticket ticket;
-  ticket.result = promise.get_future();
-
-  const auto submitted = std::chrono::steady_clock::now();
-  const bool known_plan = cache_.has_plan(plan);
-
-  std::unique_lock<pd::Mutex> lock(mu_);
-  ticket.id = next_id_++;
-  ++submitted_;
-
-  DoseResult immediate;
-  bool resolve_now = false;
-  if (!accepting_) {
-    immediate.status = RequestStatus::kFailed;
-    immediate.error = "service is shutting down";
-    ++failed_;
-    resolve_now = true;
-  } else if (!known_plan) {
-    immediate.status = RequestStatus::kFailed;
-    immediate.error = "unknown plan '" + plan + "'";
-    ++failed_;
-    resolve_now = true;
-  } else {
-    const std::uint64_t now = tick_now();
-    const double deadline_ms = options.deadline_ms < 0.0
-                                   ? config_.default_deadline_ms
-                                   : options.deadline_ms;
-    QueuedRequest request;
-    request.id = ticket.id;
-    request.plan = plan;
-    request.enqueue_tick = now;
-    request.deadline_tick =
-        deadline_ms <= 0.0
-            ? 0
-            : now + static_cast<std::uint64_t>(deadline_ms * 1000.0) + 1;
-    request.exec_key = exec_key_for(options);
-    request.priority = static_cast<std::uint8_t>(options.priority);
-    if (queue_.submit(std::move(request))) {
-      pending_.emplace(
-          ticket.id, Pending{std::move(promise), std::move(weights), submitted,
-                             options.tier, options.fast_format});
-      max_queue_depth_ = std::max(max_queue_depth_, queue_.depth());
-      ticket.accepted = true;
-      lock.unlock();
-      work_cv_.notify_one();
-      return ticket;
-    }
-    immediate.status = RequestStatus::kRejected;
-    immediate.retry_after_ms = retry_after_hint();
-    ++rejected_;
-    resolve_now = true;
-  }
-
-  lock.unlock();
-  if (resolve_now) {
-    immediate.latency_ms = elapsed_ms(submitted);
-    promise.set_value(std::move(immediate));
-  }
-  return ticket;
+  Pending entry;
+  entry.weights = std::move(weights);
+  entry.tier = options.tier;
+  entry.fast_format = options.fast_format;
+  return admit(plan, std::move(entry), exec_key_for(options),
+               options.deadline_ms, options.priority, nullptr);
 }
 
 Ticket DoseService::submit_delta(const std::string& plan,
                                  std::shared_ptr<const DeltaBase> base,
                                  std::vector<double> new_weights,
                                  const DeltaOptions& options) {
-  std::promise<DoseResult> promise;
-  Ticket ticket;
-  ticket.result = promise.get_future();
+  const bool null_base = base == nullptr;
+  const std::uint32_t exec_key =
+      null_base ? 0 : delta_exec_key_for(base->key, options.mode);
+  Pending entry;
+  entry.weights = std::move(new_weights);
+  entry.delta_base = std::move(base);
+  entry.delta_mode = options.mode;
+  return admit(plan, std::move(entry), exec_key, options.deadline_ms,
+               options.priority,
+               null_base ? "submit_delta: null base" : nullptr);
+}
 
-  const auto submitted = std::chrono::steady_clock::now();
+Ticket DoseService::admit(const std::string& plan, Pending entry,
+                          std::uint32_t exec_key, double deadline_ms,
+                          RequestPriority priority, const char* refusal) {
+  Ticket ticket;
+  ticket.result = entry.promise.get_future();
+
+  entry.submitted = std::chrono::steady_clock::now();
   const bool known_plan = cache_.has_plan(plan);
 
   std::unique_lock<pd::Mutex> lock(mu_);
@@ -215,27 +175,23 @@ Ticket DoseService::submit_delta(const std::string& plan,
   ++submitted_;
 
   DoseResult immediate;
-  bool resolve_now = false;
   if (!accepting_) {
     immediate.status = RequestStatus::kFailed;
     immediate.error = "service is shutting down";
     ++failed_;
-    resolve_now = true;
-  } else if (base == nullptr) {
+  } else if (refusal != nullptr) {
     immediate.status = RequestStatus::kFailed;
-    immediate.error = "submit_delta: null base";
+    immediate.error = refusal;
     ++failed_;
-    resolve_now = true;
   } else if (!known_plan) {
     immediate.status = RequestStatus::kFailed;
     immediate.error = "unknown plan '" + plan + "'";
     ++failed_;
-    resolve_now = true;
   } else {
     const std::uint64_t now = tick_now();
-    const double deadline_ms = options.deadline_ms < 0.0
-                                   ? config_.default_deadline_ms
-                                   : options.deadline_ms;
+    if (deadline_ms < 0.0) {
+      deadline_ms = config_.default_deadline_ms;
+    }
     QueuedRequest request;
     request.id = ticket.id;
     request.plan = plan;
@@ -244,12 +200,9 @@ Ticket DoseService::submit_delta(const std::string& plan,
         deadline_ms <= 0.0
             ? 0
             : now + static_cast<std::uint64_t>(deadline_ms * 1000.0) + 1;
-    request.exec_key = delta_exec_key_for(base->key, options.mode);
-    request.priority = static_cast<std::uint8_t>(options.priority);
+    request.exec_key = exec_key;
+    request.priority = static_cast<std::uint8_t>(priority);
     if (queue_.submit(std::move(request))) {
-      Pending entry{std::move(promise), std::move(new_weights), submitted};
-      entry.delta_base = std::move(base);
-      entry.delta_mode = options.mode;
       pending_.emplace(ticket.id, std::move(entry));
       max_queue_depth_ = std::max(max_queue_depth_, queue_.depth());
       ticket.accepted = true;
@@ -260,14 +213,11 @@ Ticket DoseService::submit_delta(const std::string& plan,
     immediate.status = RequestStatus::kRejected;
     immediate.retry_after_ms = retry_after_hint();
     ++rejected_;
-    resolve_now = true;
   }
 
   lock.unlock();
-  if (resolve_now) {
-    immediate.latency_ms = elapsed_ms(submitted);
-    promise.set_value(std::move(immediate));
-  }
+  immediate.latency_ms = elapsed_ms(entry.submitted);
+  entry.promise.set_value(std::move(immediate));
   return ticket;
 }
 

@@ -221,6 +221,13 @@ class DoseService {
         kernels::DoseEngine::DeltaMode::kBitwise;
   };
 
+  /// Admission shared by submit and submit_delta: assigns the id, then
+  /// resolves the request at once (shutting down, `refusal`, unknown plan,
+  /// queue full — checked in that order) or queues it under `exec_key` with
+  /// `entry` as its pending state.  `deadline_ms` < 0 takes the default.
+  Ticket admit(const std::string& plan, Pending entry, std::uint32_t exec_key,
+               double deadline_ms, RequestPriority priority,
+               const char* refusal);
   std::uint64_t tick_now() const;
   double elapsed_ms(std::chrono::steady_clock::time_point since) const;
   void worker_loop();

@@ -15,7 +15,9 @@ void EngineCache::register_plan(const std::string& plan, MatrixSource source) {
   PD_CHECK_MSG(static_cast<bool>(source),
                "EngineCache: empty MatrixSource for plan '" + plan + "'");
   std::lock_guard<pd::Mutex> lock(mu_);
-  sources_[plan] = std::move(source);
+  Source& registered = sources_[plan];
+  registered.fn = std::move(source);
+  ++registered.generation;
   entries_.erase(plan);
   // A replaced source may produce a different matrix; its tuning is stale.
   tuned_.erase(plan);
@@ -29,6 +31,7 @@ bool EngineCache::has_plan(const std::string& plan) const {
 std::shared_ptr<kernels::DoseEngine> EngineCache::acquire(
     const std::string& plan) {
   MatrixSource source;
+  std::uint64_t generation = 0;
   {
     std::unique_lock<pd::Mutex> lock(mu_);
     for (;;) {
@@ -56,7 +59,8 @@ std::shared_ptr<kernels::DoseEngine> EngineCache::acquire(
     const auto src = sources_.find(plan);
     PD_CHECK_MSG(src != sources_.end(),
                  "EngineCache: unknown plan '" + plan + "'");
-    source = src->second;
+    source = src->second.fn;
+    generation = src->second.generation;
     ++misses_;
     building_.insert(plan);
   }
@@ -90,7 +94,9 @@ std::shared_ptr<kernels::DoseEngine> EngineCache::acquire(
         config = std::make_shared<const kernels::TunedConfig>(
             kernels::autotune_fast_tier(*engine, params_.tune_options));
         std::lock_guard<pd::Mutex> lock(mu_);
-        tuned_[plan] = config;
+        if (current(plan, generation)) {
+          tuned_[plan] = config;
+        }
         ++tunes_;
       }
       kernels::apply_tuned(*engine, *config);
@@ -104,10 +110,19 @@ std::shared_ptr<kernels::DoseEngine> EngineCache::acquire(
 
   std::lock_guard<pd::Mutex> lock(mu_);
   building_.erase(plan);
-  entries_[plan] = Entry{engine, ++use_tick_};
-  evict_over_capacity();
+  // A source replaced mid-build leaves this engine to its caller only.
+  if (current(plan, generation)) {
+    entries_[plan] = Entry{engine, ++use_tick_};
+    evict_over_capacity();
+  }
   build_cv_.notify_all();
   return engine;
+}
+
+bool EngineCache::current(const std::string& plan,
+                          std::uint64_t generation) const {
+  const auto it = sources_.find(plan);
+  return it != sources_.end() && it->second.generation == generation;
 }
 
 void EngineCache::evict_over_capacity() {

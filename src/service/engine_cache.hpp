@@ -66,7 +66,8 @@ class EngineCache {
   EngineCache(std::size_t capacity, EngineParams params);
 
   /// Register (or replace) a plan's matrix source.  Replacing drops any
-  /// cached engine for the plan.
+  /// cached engine for the plan; a build from the old source still in
+  /// flight returns its engine to its own caller but never caches it.
   void register_plan(const std::string& plan, MatrixSource source);
 
   bool has_plan(const std::string& plan) const;
@@ -93,6 +94,9 @@ class EngineCache {
 
   /// Drop LRU unpinned entries until within capacity (caller holds mu_).
   void evict_over_capacity();
+  /// Whether `plan`'s source is still the one registered as `generation`
+  /// (caller holds mu_).
+  bool current(const std::string& plan, std::uint64_t generation) const;
 
   const std::size_t capacity_;
   const EngineParams params_;
@@ -103,7 +107,15 @@ class EngineCache {
   mutable pd::Mutex mu_{"EngineCache.mu"};
   pd::CondVar build_cv_{"EngineCache.build_cv",
                         pd::CondVar::Waiters::kOptional};
-  std::map<std::string, MatrixSource> sources_;
+  /// A registered source and how many times the plan was (re)registered.
+  /// A build publishes its engine and tuning only if the generation it
+  /// started from is still current: register_plan cannot reach a build in
+  /// flight, so a replaced source must not be cached under the plan.
+  struct Source {
+    MatrixSource fn;
+    std::uint64_t generation = 0;
+  };
+  std::map<std::string, Source> sources_;
   std::map<std::string, Entry> entries_;
   /// Tuned configs live beside, not inside, entries_: eviction drops the
   /// engine but keeps the config, so the rebuild is apply-only.

@@ -199,6 +199,21 @@ ShardedDoseService::Routed ShardedDoseService::route_submit_locked(
   return out;
 }
 
+template <typename SubmitFn>
+Ticket ShardedDoseService::submit_whole_locked(const std::string& plan,
+                                               RequestPriority priority,
+                                               SubmitFn&& fn) {
+  Routed routed = route_submit_locked(plan, priority, fn);
+  if (!routed.accepted) {
+    return resolved_ticket(0, std::move(routed.immediate));
+  }
+  Ticket out;
+  out.id = encode_id(routed.shard, routed.ticket.id);
+  out.accepted = true;
+  out.result = std::move(routed.ticket.result);
+  return out;
+}
+
 Ticket ShardedDoseService::submit_sliced_locked(
     const SlicedPlan& sliced, const std::vector<double>& weights,
     const SubmitOptions& options) {
@@ -294,18 +309,9 @@ Ticket ShardedDoseService::submit(const std::string& plan,
   }
   // The lambda copies the weights per attempt: DoseService::submit consumes
   // its argument even when it refuses, and a spill needs them again.
-  Routed routed = route_submit_locked(
-      plan, options.priority, [&](std::size_t shard) {
-        return shards_[shard]->submit(plan, weights, options);
-      });
-  if (!routed.accepted) {
-    return resolved_ticket(0, std::move(routed.immediate));
-  }
-  Ticket out;
-  out.id = encode_id(routed.shard, routed.ticket.id);
-  out.accepted = true;
-  out.result = std::move(routed.ticket.result);
-  return out;
+  return submit_whole_locked(plan, options.priority, [&](std::size_t shard) {
+    return shards_[shard]->submit(plan, weights, options);
+  });
 }
 
 Ticket ShardedDoseService::submit_delta(const std::string& plan,
@@ -323,18 +329,9 @@ Ticket ShardedDoseService::submit_delta(const std::string& plan,
     ++failed_immediate_;
     return resolved_ticket(0, std::move(result));
   }
-  Routed routed = route_submit_locked(
-      plan, options.priority, [&](std::size_t shard) {
-        return shards_[shard]->submit_delta(plan, base, new_weights, options);
-      });
-  if (!routed.accepted) {
-    return resolved_ticket(0, std::move(routed.immediate));
-  }
-  Ticket out;
-  out.id = encode_id(routed.shard, routed.ticket.id);
-  out.accepted = true;
-  out.result = std::move(routed.ticket.result);
-  return out;
+  return submit_whole_locked(plan, options.priority, [&](std::size_t shard) {
+    return shards_[shard]->submit_delta(plan, base, new_weights, options);
+  });
 }
 
 bool ShardedDoseService::cancel(std::uint64_t id) {

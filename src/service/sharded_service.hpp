@@ -175,6 +175,11 @@ class ShardedDoseService {
   template <typename SubmitFn>
   Routed route_submit_locked(const std::string& plan, RequestPriority priority,
                              SubmitFn&& fn);
+  /// Route one request for a whole (unsliced) plan and wrap the outcome as
+  /// the caller's ticket: the accepted shard's id encoded, or the refusal.
+  template <typename SubmitFn>
+  Ticket submit_whole_locked(const std::string& plan, RequestPriority priority,
+                             SubmitFn&& fn);
   Ticket submit_sliced_locked(const SlicedPlan& sliced,
                               const std::vector<double>& weights,
                               const SubmitOptions& options);

@@ -8,9 +8,8 @@
 //  (b) DeltaMode::kFast — the scatter-add update stays inside a *derived*
 //      per-row bound (test_fast_tier.cpp style), and the bound is tight
 //      enough to reject a deliberately miscompiled reference.
-// Plus the structural pieces: the CSC sidecar is exactly the transpose,
-// last_delta() reports the true touch counts, and the tuner's delta
-// threshold does its streamed-bytes arithmetic (tie goes to full recompute).
+// Plus the structural pieces: the CSC sidecar is exactly the transpose, and
+// last_delta() reports the true touch counts.
 //
 // Suite names start with Delta so CI can run `ctest -R Delta` under the
 // sanitizers.
@@ -30,12 +29,9 @@
 #include "common/threadcheck.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/dose_engine.hpp"
-#include "kernels/tuner.hpp"
-#include "opt/optimizer.hpp"
 #include "service/dose_service.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/random.hpp"
-#include "sparse/reference.hpp"
 
 namespace pd::kernels {
 namespace {
@@ -383,46 +379,6 @@ TEST(DeltaFastBound, CatchesAnOffByOneColumnBug) {
   EXPECT_GT(violations, nonempty / 2);
 }
 
-// --- tuner -------------------------------------------------------------------
-
-TEST(DeltaTuner, ThresholdFromStreamedBytes) {
-  // nnz/cols = 10 entries per column, 28 B each: updating every column would
-  // stream 28000 B.  A full CSR pass streams 14000 B, so delta pays off only
-  // below half the columns.
-  const DeltaThreshold t = delta_threshold(14000, 1000, 100);
-  EXPECT_EQ(t.full_bytes, 14000u);
-  EXPECT_DOUBLE_EQ(t.delta_bytes_per_col, 280.0);
-  EXPECT_DOUBLE_EQ(t.breakeven_changed_frac, 0.5);
-  EXPECT_TRUE(t.prefer_delta(0.49));
-  EXPECT_FALSE(t.prefer_delta(0.51));
-}
-
-TEST(DeltaTuner, TieGoesToFullRecompute) {
-  const DeltaThreshold t = delta_threshold(14000, 1000, 100);
-  // Exactly at breakeven the bytes are equal; full recompute wins the tie
-  // (one sequential pass, no worklist bookkeeping).
-  EXPECT_FALSE(t.prefer_delta(t.breakeven_changed_frac));
-}
-
-TEST(DeltaTuner, BreakevenCapsAtOneAndHandlesEmpty) {
-  // CSR streams more than updating every column: delta always wins, but the
-  // fraction is still capped at 1.
-  EXPECT_DOUBLE_EQ(delta_threshold(1u << 20, 1000, 100).breakeven_changed_frac,
-                   1.0);
-  EXPECT_DOUBLE_EQ(delta_threshold(0, 0, 0).breakeven_changed_frac, 1.0);
-  // On a real beam the threshold is a proper fraction: half-precision CSR
-  // streams fewer bytes per nnz than the delta path's 28.
-  const auto& ds = beams().front();
-  DoseEngine engine(ds.beam.matrix, gpusim::make_a100(), Mode::kHalfDouble,
-                    kDefaultVectorTpb, SpmvFamily::kVector, Backend::kNative);
-  const sparse::MatrixStats& st = engine.stats();
-  const DeltaThreshold t =
-      delta_threshold(st.csr_bytes(2, 4), st.nnz, st.cols);
-  EXPECT_GT(t.breakeven_changed_frac, 0.0);
-  EXPECT_LT(t.breakeven_changed_frac, 1.0);
-  EXPECT_TRUE(t.prefer_delta(0.01));
-}
-
 // --- service -----------------------------------------------------------------
 
 sparse::CsrF64 plan_matrix() {
@@ -588,49 +544,6 @@ TEST(DeltaService, QueueKeepsDeltaTrafficApartFromFullComputes) {
   EXPECT_EQ(ids(queue.pop_ready(0, true)), (std::vector<std::uint64_t>{5}));
   queue.mark_idle("p");
   EXPECT_EQ(queue.depth(), 0u);
-}
-
-// --- optimizer warm start ----------------------------------------------------
-
-TEST(DeltaOptimizer, WarmStartKeepsTheTrajectoryBitwise) {
-  // Identical configs except the warm start: the delta replay is bitwise
-  // equal to the full compute, so weights, dose, and objective history must
-  // match exactly — while the warm-started run serves some forward products
-  // via compute_delta.
-  const auto def = cases::prostate_case(0.2);
-  const auto patient = cases::build_phantom(def);
-  const sparse::CsrF64 D = cases::generate_beam(def, patient, 0).matrix;
-  std::vector<double> probe(D.num_rows);
-  sparse::reference_spmv(D, std::vector<double>(D.num_cols, 1.0), probe);
-  double max_dose = 0.0;
-  for (const double d : probe) max_dose = std::max(max_dose, d);
-  const auto objective = opt::DoseObjective::standard_goals(
-      patient, 0.5 * max_dose, 0.2 * max_dose);
-
-  opt::OptimizerConfig off;
-  off.max_iterations = 12;
-  off.delta_warm_start = false;
-  opt::OptimizerConfig on = off;
-  on.delta_warm_start = true;
-  // Force the warm start to engage regardless of the matrix's breakeven:
-  // the projection won't pin enough spots in 12 iterations on this phantom.
-  on.delta_changed_frac = 1.1;
-  on.delta_stable_iters = 1;
-
-  opt::PlanOptimizer opt_off(D, objective, gpusim::make_a100(), off);
-  opt::PlanOptimizer opt_on(D, objective, gpusim::make_a100(), on);
-  const opt::OptimizerResult r_off = opt_off.optimize();
-  const opt::OptimizerResult r_on = opt_on.optimize();
-
-  EXPECT_EQ(r_off.iterations, r_on.iterations);
-  EXPECT_EQ(r_off.objective_history, r_on.objective_history);
-  expect_bitwise(r_on.spot_weights, r_off.spot_weights, "weights");
-  expect_bitwise(r_on.dose, r_off.dose, "dose");
-  EXPECT_EQ(r_off.delta_spmv_count, 0u);
-  EXPECT_EQ(r_off.warm_start_iteration, 0u);
-  EXPECT_GT(r_on.delta_spmv_count, 0u);
-  EXPECT_GT(r_on.warm_start_iteration, 0u);
-  EXPECT_EQ(r_on.spmv_count, r_off.spmv_count);
 }
 
 }  // namespace

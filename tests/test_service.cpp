@@ -8,8 +8,9 @@
 // all be invisible in the bits (§II-D served end-to-end).
 //
 // ServiceFaults: deterministic fault injection — deadline expiry mid-queue,
-// cancellation after submit, cache eviction racing an in-flight batch,
-// queue-overflow backpressure, unknown plans, and malformed weight vectors.
+// cancellation after submit, cache eviction racing an in-flight batch, a
+// plan's source replaced while its engine builds, queue-overflow
+// backpressure, unknown plans, and malformed weight vectors.
 // Every fault resolves with a documented status; no fault ever yields a
 // wrong dose or a deadlock, including under ASan/UBSan
 // (-DPROTONDOSE_SANITIZE=ON, exercised by the CI sanitize job).
@@ -33,6 +34,7 @@
 #include "gpusim/device.hpp"
 #include "kernels/dose_engine.hpp"
 #include "service/dose_service.hpp"
+#include "service/engine_cache.hpp"
 #include "sparse/random.hpp"
 
 namespace pd::service {
@@ -500,6 +502,52 @@ TEST(ServiceFaults, DestructorDrainsOutstandingRequests) {
   for (Ticket& ticket : tickets) {
     EXPECT_EQ(ticket.result.get().status, RequestStatus::kOk);
   }
+}
+
+TEST(ServiceFaults, SourceReplacedMidBuildIsNotCached) {
+  // register_plan cannot reach a build already in flight.  The build from
+  // the replaced source still answers its own caller, but neither its engine
+  // nor its tuning may be cached under the plan: the next acquire must
+  // build from the new source.
+  EngineParams params;
+  params.device = gpusim::make_a100();
+  params.backend = Backend::kNative;
+  params.autotune = true;
+  params.tune_options.trials = 0;  // byte-model only: deterministic, fast
+  EngineCache cache(2, params);
+
+  const auto rows_source = [](std::uint64_t rows) {
+    return [rows] {
+      Rng rng(kMatrixSeedBase + rows);
+      return sparse::random_csr(rng, rows, kSpots, 12.0,
+                                sparse::RandomStructure::kSkewed);
+    };
+  };
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  cache.register_plan("p", [&entered, released, old = rows_source(100)] {
+    entered.set_value();
+    released.wait();
+    return old();
+  });
+  std::shared_ptr<kernels::DoseEngine> stale;
+  std::thread build_thread([&] { stale = cache.acquire("p"); });
+  entered.get_future().wait();
+  cache.register_plan("p", rows_source(200));
+  release.set_value();
+  build_thread.join();
+
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(stale->stats().rows, 100u);
+  EXPECT_EQ(cache.tuned_config("p"), nullptr);
+  const std::shared_ptr<kernels::DoseEngine> fresh = cache.acquire("p");
+  EXPECT_EQ(fresh->stats().rows, 200u);
+  EXPECT_NE(cache.tuned_config("p"), nullptr);
+  const EngineCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.resident, 1u);
 }
 
 TEST(ServiceThreadcheck, DoesNotPerturb) {

@@ -242,13 +242,19 @@ TEST(ThreadcheckRace, PassCanBeDisabled) {
 // ---------------------------------------------------------------------------
 // lockorder pass
 // ---------------------------------------------------------------------------
+//
+// These fixtures keep their mutexes in static storage.  std::mutex has a
+// trivial destructor, so ThreadSanitizer never sees a stack mutex die; when
+// the next fixture's pair lands on the same stack addresses, a whole-binary
+// TSan run joins both fixtures' lock orders into one graph and reports an
+// inversion no single test contains.  Static storage is never reused.
 
 TEST(ThreadcheckLockOrder, FlagsAbBaInversion) {
   // BUG: one code path locks A then B, another B then A.  The threads run
   // sequentially here (join between), so this run could never deadlock —
   // the cycle in the order graph is flagged anyway, which is the point.
-  Mutex a{"fixture.mu_a"};
-  Mutex b{"fixture.mu_b"};
+  static Mutex a{"fixture.mu_a"};
+  static Mutex b{"fixture.mu_b"};
   const Report report = run_session({}, [&] {
     std::thread t1([&] {
       std::scoped_lock lock(a, b);
@@ -266,8 +272,8 @@ TEST(ThreadcheckLockOrder, FlagsAbBaInversion) {
 
 TEST(ThreadcheckLockOrder, ConsistentNestingIsClean) {
   // Clean twin: both paths take A before B.
-  Mutex a{"fixture.nested_a"};
-  Mutex b{"fixture.nested_b"};
+  static Mutex a{"fixture.nested_a"};
+  static Mutex b{"fixture.nested_b"};
   const Report report = run_session({}, [&] {
     auto work = [&] {
       std::lock_guard<Mutex> first(a);
@@ -282,8 +288,8 @@ TEST(ThreadcheckLockOrder, ConsistentNestingIsClean) {
 }
 
 TEST(ThreadcheckLockOrder, PassCanBeDisabled) {
-  Mutex a{"fixture.mu_a.nolockorder"};
-  Mutex b{"fixture.mu_b.nolockorder"};
+  static Mutex a{"fixture.mu_a.nolockorder"};
+  static Mutex b{"fixture.mu_b.nolockorder"};
   CheckConfig config;
   config.lockorder = false;
   const Report report = run_session(config, [&] {

@@ -654,12 +654,6 @@ int cmd_delta(int argc, const char* const* argv) {
   }
 
   const pd::sparse::MatrixStats& st = engine.stats();
-  const std::size_t value_bytes =
-      mode == Engine::Mode::kHalfDouble ? 2
-      : mode == Engine::Mode::kSingle   ? 4
-                                        : 8;
-  const pd::kernels::DeltaThreshold threshold = pd::kernels::delta_threshold(
-      st.csr_bytes(value_bytes, 4), st.nnz, st.cols);
 
   pd::TextTable t({"quantity", "value"});
   t.add_row({"mode", mode_str});
@@ -670,8 +664,6 @@ int cmd_delta(int argc, const char* const* argv) {
                               std::to_string(st.nnz)});
   t.add_row({"touched rows", std::to_string(run.touched_rows) + " of " +
                                  std::to_string(st.rows)});
-  t.add_row({"tuner breakeven frac",
-             pd::fmt_double(threshold.breakeven_changed_frac, 4)});
   t.add_row({"full recompute", pd::fmt_sci(s_full, 3) + " s"});
   t.add_row({"bitwise delta", pd::fmt_sci(s_bitwise, 3) + " s (" +
                                   pd::fmt_double(s_full / s_bitwise, 1) +
