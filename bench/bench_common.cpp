@@ -180,6 +180,26 @@ std::optional<Measurement> measure_kernel(gpusim::Gpu& gpu,
   return m;
 }
 
+Spread spread_of(std::vector<double> samples) {
+  Spread out;
+  out.repeats = samples.size();
+  if (samples.empty()) {
+    return out;
+  }
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] +
+           (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  out.q1 = quantile(0.25);
+  out.median = quantile(0.5);
+  out.q3 = quantile(0.75);
+  return out;
+}
+
 void write_csv(const std::string& name,
                const std::vector<std::string>& header,
                const std::vector<std::vector<std::string>>& rows) {

@@ -6,6 +6,7 @@
 // the simulated device, and reports both a human-readable table and a CSV
 // under bench_results/.
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -79,25 +80,49 @@ double time_per_call(const Body& body, double min_seconds) {
   return elapsed / reps;
 }
 
-/// Interleaved min-over-rounds: each round calls `run(i)` once for every
-/// configuration i in turn, and each configuration keeps its fastest round.
+/// Interleaved rounds: each round calls `run(i)` once for every
+/// configuration i in turn, and samples[i][round] keeps what it returned.
 /// Round-robin exposes every configuration to the same host drift, which on
 /// a shared host moves throughput on a seconds scale, instead of penalizing
 /// whichever one ran during a slow stretch.  `run` returns seconds.
 template <typename Run>
-std::vector<double> min_over_rounds(std::size_t configs, std::size_t rounds,
-                                    const Run& run) {
-  std::vector<double> best(configs, 0.0);
+std::vector<std::vector<double>> interleaved_rounds(std::size_t configs,
+                                                    std::size_t rounds,
+                                                    const Run& run) {
+  std::vector<std::vector<double>> samples(configs);
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < configs; ++i) {
-      const double seconds = run(i);
-      if (round == 0 || seconds < best[i]) {
-        best[i] = seconds;
-      }
+      samples[i].push_back(run(i));
     }
+  }
+  return samples;
+}
+
+/// Each configuration's fastest round of interleaved_rounds (0 for none).
+template <typename Run>
+std::vector<double> min_over_rounds(std::size_t configs, std::size_t rounds,
+                                    const Run& run) {
+  std::vector<double> best;
+  for (const auto& s : interleaved_rounds(configs, rounds, run)) {
+    best.push_back(s.empty() ? 0.0 : *std::min_element(s.begin(), s.end()));
   }
   return best;
 }
+
+/// Median and quartiles of repeated measurements, interpolated linearly
+/// between order statistics.
+struct Spread {
+  std::size_t repeats = 0;
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+
+  /// Interquartile range relative to the median (0 for a zero median).
+  double iqr_over_median() const {
+    return median == 0.0 ? 0.0 : (q3 - q1) / median;
+  }
+};
+Spread spread_of(std::vector<double> samples);
 
 /// Write rows to bench_results/<name>.csv (directory created on demand).
 void write_csv(const std::string& name,

@@ -6,11 +6,14 @@
 // warp-instructions/sec and sectors/sec on Liver 1 for each engine mode
 // against the retained reference memory path (the seed's sort+unique
 // coalescer and global-tick cache scan), and records the trajectory in
-// BENCH_gpusim.json so regressions and wins show up across commits.
+// BENCH_gpusim.json so regressions and wins show up across commits.  Each
+// mode is timed in kRounds interleaved rounds; the file records the median
+// and the interquartile spread, so a speedup can be told from noise.
 
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -25,6 +28,9 @@
 
 namespace {
 
+constexpr std::size_t kRounds = 7;
+constexpr double kMinSecondsPerRound = 0.4;
+
 struct ModeSpec {
   std::string name;
   bool reference_path;
@@ -33,7 +39,7 @@ struct ModeSpec {
 
 struct ModeResult {
   std::string name;
-  double seconds_per_launch = 0.0;
+  pd::bench::Spread spread;  ///< Seconds per launch over the rounds.
   double warp_instr_per_sec = 0.0;
   double sectors_per_sec = 0.0;
   double speedup_vs_reference = 0.0;
@@ -91,50 +97,60 @@ int main() {
                  "analyzer enabled; numbers are NOT trajectory-comparable.\n\n";
   }
 
-  std::vector<ModeResult> results;
+  std::vector<std::unique_ptr<pd::gpusim::Gpu>> gpus;
   for (const auto& mode : modes) {
-    pd::gpusim::Gpu gpu(pd::gpusim::make_a100());
-    gpu.set_reference_memory_path(mode.reference_path);
-    gpu.set_engine(mode.engine);
+    auto gpu = std::make_unique<pd::gpusim::Gpu>(pd::gpusim::make_a100());
+    gpu->set_reference_memory_path(mode.reference_path);
+    gpu->set_engine(mode.engine);
     if (simcheck) {
-      gpu.enable_check();
+      gpu->enable_check();
     }
+    gpus.push_back(std::move(gpu));
+  }
 
-    ModeResult r;
-    r.name = mode.name;
-    // Every launch cold-starts the L2, so each reports the same counters.
-    r.seconds_per_launch = pd::bench::time_per_call(
-        [&] { r.stats = launch_once(gpu); }, /*min_seconds=*/0.4);
+  // Every launch cold-starts the L2, so each reports the same counters.
+  std::vector<ModeResult> results(modes.size());
+  const auto samples = pd::bench::interleaved_rounds(
+      modes.size(), kRounds, [&](std::size_t i) {
+        return pd::bench::time_per_call(
+            [&] { results[i].stats = launch_once(*gpus[i]); },
+            kMinSecondsPerRound);
+      });
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    ModeResult& r = results[i];
+    r.name = modes[i].name;
+    r.spread = pd::bench::spread_of(samples[i]);
     r.warp_instr_per_sec =
         static_cast<double>(r.stats.compute.warp_arith_instrs) /
-        r.seconds_per_launch;
+        r.spread.median;
     r.sectors_per_sec =
         static_cast<double>(r.stats.traffic.total_sectors()) /
-        r.seconds_per_launch;
-    results.push_back(std::move(r));
+        r.spread.median;
   }
   for (auto& r : results) {
     r.speedup_vs_reference =
-        results.front().seconds_per_launch / r.seconds_per_launch;
+        results.front().spread.median / r.spread.median;
   }
 
-  pd::TextTable table({"engine mode", "ms / launch", "warp instr/s",
-                       "sectors/s", "speedup vs reference"});
+  pd::TextTable table({"engine mode", "ms / launch (median)", "IQR/median",
+                       "warp instr/s", "sectors/s", "speedup vs reference"});
   for (const auto& r : results) {
-    table.add_row({r.name, fmt(r.seconds_per_launch * 1e3),
+    table.add_row({r.name, fmt(r.spread.median * 1e3),
+                   fmt(r.spread.iqr_over_median(), 3),
                    fmt_rate(r.warp_instr_per_sec),
                    r.stats.traffic.total_sectors() == 0
                        ? "n/a (no traffic sim)"
                        : fmt_rate(r.sectors_per_sec),
                    fmt(r.speedup_vs_reference, 2) + "x"});
   }
-  std::cout << table.str() << "\n";
+  std::cout << table.str() << kRounds << " interleaved rounds per mode, each"
+            << " at least " << kMinSecondsPerRound << " s of launches.\n";
   std::cout << "functional_only skips the cache model entirely (correctness-"
                "only callers: tests, optimizer inner loops).\n\n";
 
   std::vector<std::vector<std::string>> rows;
   for (const auto& r : results) {
-    rows.push_back({beam.label, r.name, fmt(r.seconds_per_launch * 1e6, 1),
+    rows.push_back({beam.label, r.name, fmt(r.spread.median * 1e6, 1),
                     fmt_rate(r.warp_instr_per_sec), fmt_rate(r.sectors_per_sec),
                     fmt(r.speedup_vs_reference, 3)});
   }
@@ -151,6 +167,7 @@ int main() {
   json << "  \"scale\": " << scale << ",\n";
   json << "  \"kernel\": \"vector_csr<half,double> tpb=512\",\n";
   json << "  \"simcheck\": " << (simcheck ? "true" : "false") << ",\n";
+  json << "  \"min_seconds_per_repeat\": " << kMinSecondsPerRound << ",\n";
   json << "  \"warp_instrs_per_launch\": "
        << results.front().stats.compute.warp_arith_instrs << ",\n";
   json << "  \"sectors_per_launch\": "
@@ -158,8 +175,12 @@ int main() {
   json << "  \"modes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    json << "    {\"mode\": \"" << r.name << "\", \"us_per_launch\": "
-         << fmt(r.seconds_per_launch * 1e6, 1)
+    json << "    {\"mode\": \"" << r.name << "\", \"repeats\": "
+         << r.spread.repeats << ", \"us_per_launch\": "
+         << fmt(r.spread.median * 1e6, 1)
+         << ", \"us_q1\": " << fmt(r.spread.q1 * 1e6, 1)
+         << ", \"us_q3\": " << fmt(r.spread.q3 * 1e6, 1)
+         << ", \"iqr_over_median\": " << fmt(r.spread.iqr_over_median(), 4)
          << ", \"warp_instr_per_sec\": " << fmt_rate(r.warp_instr_per_sec)
          << ", \"sectors_per_sec\": " << fmt_rate(r.sectors_per_sec)
          << ", \"speedup_vs_reference\": " << fmt(r.speedup_vs_reference, 3)

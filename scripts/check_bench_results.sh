@@ -111,7 +111,9 @@ if [ ! -f "$sim" ]; then
   fail=1
 else
   for key in '"bench"' '"beam"' '"scale"' '"kernel"' '"modes"' \
-             '"us_per_launch"' '"warp_instr_per_sec"'; do
+             '"min_seconds_per_repeat"' '"repeats"' '"us_per_launch"' \
+             '"us_q1"' '"us_q3"' '"iqr_over_median"' \
+             '"warp_instr_per_sec"' '"speedup_vs_reference"'; do
     if ! grep -q "$key" "$sim"; then
       echo "FAIL BENCH_gpusim.json: missing key $key"
       fail=1
@@ -122,6 +124,26 @@ else
     if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$sim"; then
       echo "FAIL BENCH_gpusim.json: not valid JSON"
       fail=1
+    # Perf gate on the optimized memory path: the serial engine must beat the
+    # seed reference path (sort+unique coalescer, stamp-scan cache) by a
+    # floor well below the ratio measured at scale 0.2 (3.3-3.7x in five
+    # runs on a 4-vCPU x86 host), so a change that quietly falls back to
+    # reference speed fails here.
+    elif [ "${PROTONDOSE_BENCH_ALLOW_PERF_REGRESSION:-0}" != "1" ]; then
+      if ! python3 - "$sim" <<'EOF'
+import json, sys
+modes = {m["mode"]: m for m in json.load(open(sys.argv[1]))["modes"]}
+value = float(modes["serial"]["speedup_vs_reference"])
+floor = 2.0
+ok = value >= floor
+print(f"{'ok  ' if ok else 'FAIL'} serial speedup_vs_reference = {value} (want >= {floor})")
+sys.exit(0 if ok else 1)
+EOF
+      then
+        echo "FAIL BENCH_gpusim.json: memory-path perf gate" \
+             "(set PROTONDOSE_BENCH_ALLOW_PERF_REGRESSION=1 to override)"
+        fail=1
+      fi
     fi
   fi
 fi

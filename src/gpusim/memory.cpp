@@ -16,6 +16,15 @@ unsigned max_sectors_for(unsigned size, LaneMask mask) {
   return popcount_mask(mask) * per_lane;
 }
 
+/// Per-lane addresses of a contiguous request: lane i at addr + i * size.
+Lanes<std::uint64_t> contiguous_lanes(std::uint64_t addr, unsigned size) {
+  Lanes<std::uint64_t> lanes;
+  for (unsigned i = 0; i < kWarpSize; ++i) {
+    lanes[i] = addr + std::uint64_t{i} * size;
+  }
+  return lanes;
+}
+
 /// Fill `out` with the sectors of the byte range [addr, addr + size).
 void fill_span(std::uint64_t addr, unsigned size, SectorBuffer& out) {
   const std::uint64_t first = addr / kSector;
@@ -114,6 +123,22 @@ void coalesce_warp_sectors_reference(const Lanes<std::uint64_t>& addr,
   out.count = static_cast<unsigned>(std::unique(data, data + n) - data);
 }
 
+void coalesce_contiguous_sectors(std::uint64_t addr, unsigned size,
+                                 LaneMask mask, SectorBuffer& out) {
+  if (mask == 0) {
+    out.reserve(0);
+    return;
+  }
+  const unsigned first = static_cast<unsigned>(__builtin_ctz(mask));
+  const LaneMask run = mask >> first;
+  if ((run & (run + 1)) == 0) {  // one run of active lanes
+    fill_span(addr + std::uint64_t{first} * size, popcount_mask(mask) * size,
+              out);
+    return;
+  }
+  coalesce_warp_sectors(contiguous_lanes(addr, size), size, mask, out);
+}
+
 void CacheModel::check_geometry(std::uint64_t capacity_bytes, unsigned ways) {
   PD_CHECK_MSG(ways > 0, "CacheModel: need at least one way");
   PD_CHECK_MSG(capacity_bytes >= std::uint64_t{kSector} * ways,
@@ -125,26 +150,89 @@ CacheModel::CacheModel(std::uint64_t capacity_bytes, unsigned ways)
     : capacity_bytes_(capacity_bytes), ways_(ways) {
   check_geometry(capacity_bytes_, ways_);
   sets_ = capacity_bytes_ / kSector / ways_;
-  lines_.assign(sets_ * ways_, Way{});
-  set_tick_.assign(sets_, 0);
-  mru_way_.assign(sets_, 0);
+  entries_ = std::make_unique_for_overwrite<std::uint64_t[]>(sets_ * ways_);
+  state_.assign(sets_, SetState{});
 }
 
-bool CacheModel::hit_way(Way& way, bool write, TrafficCounters& tc,
-                         std::uint64_t stamp) {
-  way.stamp = stamp;
-  way.dirty = way.dirty || write;
-  if (write) {
-    ++tc.l2_write_hits;
-  } else {
-    ++tc.l2_read_hits;
+bool CacheModel::access(std::uint64_t sector_index, bool write,
+                        TrafficCounters& tc) {
+  const std::size_t set = static_cast<std::size_t>(sector_index % sets_);
+  SetState& state = state_[set];
+  if (state.epoch != epoch_) {
+    state.epoch = epoch_;
+    state.count = 0;
   }
-  return true;
+  std::uint64_t* entries = &entries_[set * ways_];
+  const std::uint64_t key = sector_index << 1;
+  const std::uint64_t dirty = write ? 1 : 0;
+
+  if (write) {
+    ++tc.l2_write_sectors;
+  } else {
+    ++tc.l2_read_sectors;
+  }
+
+  // Entries equal the key up to the dirty bit exactly when they xor to <= 1.
+  unsigned pos = 0;
+  while (pos < state.count && (entries[pos] ^ key) > 1) {
+    ++pos;
+  }
+  const bool hit = pos < state.count;
+  std::uint64_t front;
+  if (hit) {
+    front = entries[pos] | dirty;
+    if (write) {
+      ++tc.l2_write_hits;
+    } else {
+      ++tc.l2_read_hits;
+    }
+  } else {
+    // Miss: fill from DRAM (write-allocate); a full set evicts its least
+    // recently used entry, the last one.
+    front = key | dirty;
+    tc.dram_read_bytes += kSector;
+    if (state.count == ways_) {
+      pos = ways_ - 1;
+      if ((entries[pos] & 1) != 0) {
+        tc.dram_write_bytes += kSector;
+      }
+    } else {
+      pos = state.count++;
+    }
+  }
+  std::copy_backward(entries, entries + pos, entries + pos + 1);
+  entries[0] = front;
+  return hit;
 }
 
-bool CacheModel::fill_way(Way* base, std::uint64_t sector_index, bool write,
-                          TrafficCounters& tc, std::uint64_t stamp,
-                          unsigned* way_out) {
+bool CacheModel::access_reference(std::uint64_t sector_index, bool write,
+                                  TrafficCounters& tc) {
+  if (ref_lines_.empty()) {
+    ref_lines_.assign(sets_ * ways_, Way{});
+  }
+  const std::size_t set = static_cast<std::size_t>(sector_index % sets_);
+  Way* base = &ref_lines_[set * ways_];
+  ++tick_;
+
+  if (write) {
+    ++tc.l2_write_sectors;
+  } else {
+    ++tc.l2_read_sectors;
+  }
+
+  for (unsigned w = 0; w < ways_; ++w) {
+    Way& way = base[w];
+    if (way.valid && way.tag == sector_index) {
+      way.stamp = tick_;
+      way.dirty = way.dirty || write;
+      if (write) {
+        ++tc.l2_write_hits;
+      } else {
+        ++tc.l2_read_hits;
+      }
+      return true;
+    }
+  }
   // Miss: fill from DRAM (write-allocate).  Prefer an invalid way; otherwise
   // evict the least-recently-used one.
   unsigned victim = ways_;
@@ -168,71 +256,26 @@ bool CacheModel::fill_way(Way* base, std::uint64_t sector_index, bool write,
   }
   tc.dram_read_bytes += kSector;
   way.tag = sector_index;
-  way.stamp = stamp;
+  way.stamp = tick_;
   way.valid = true;
   way.dirty = write;
-  *way_out = victim;
   return false;
-}
-
-bool CacheModel::access(std::uint64_t sector_index, bool write,
-                        TrafficCounters& tc) {
-  const std::size_t set = static_cast<std::size_t>(sector_index % sets_);
-  Way* base = &lines_[set * ways_];
-  const std::uint64_t stamp = ++set_tick_[set];
-
-  if (write) {
-    ++tc.l2_write_sectors;
-  } else {
-    ++tc.l2_read_sectors;
-  }
-
-  // MRU front check: streaming kernels re-touch the set's most recent line
-  // far more often than any other way, so one compare resolves most hits.
-  const unsigned mru = mru_way_[set];
-  if (base[mru].valid && base[mru].tag == sector_index) {
-    return hit_way(base[mru], write, tc, stamp);
-  }
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (w == mru) {
-      continue;
-    }
-    Way& way = base[w];
-    if (way.valid && way.tag == sector_index) {
-      mru_way_[set] = static_cast<std::uint16_t>(w);
-      return hit_way(way, write, tc, stamp);
-    }
-  }
-  unsigned filled = 0;
-  fill_way(base, sector_index, write, tc, stamp, &filled);
-  mru_way_[set] = static_cast<std::uint16_t>(filled);
-  return false;
-}
-
-bool CacheModel::access_reference(std::uint64_t sector_index, bool write,
-                                  TrafficCounters& tc) {
-  const std::size_t set = static_cast<std::size_t>(sector_index % sets_);
-  Way* base = &lines_[set * ways_];
-  ++tick_;
-
-  if (write) {
-    ++tc.l2_write_sectors;
-  } else {
-    ++tc.l2_read_sectors;
-  }
-
-  for (unsigned w = 0; w < ways_; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == sector_index) {
-      return hit_way(way, write, tc, tick_);
-    }
-  }
-  unsigned filled = 0;
-  return fill_way(base, sector_index, write, tc, tick_, &filled);
 }
 
 void CacheModel::flush_dirty(TrafficCounters& tc) {
-  for (Way& way : lines_) {
+  for (std::size_t set = 0; set < sets_; ++set) {
+    if (state_[set].epoch != epoch_) {
+      continue;
+    }
+    std::uint64_t* entries = &entries_[set * ways_];
+    for (unsigned i = 0; i < state_[set].count; ++i) {
+      if ((entries[i] & 1) != 0) {
+        tc.dram_write_bytes += kSector;
+        entries[i] &= ~std::uint64_t{1};
+      }
+    }
+  }
+  for (Way& way : ref_lines_) {
     if (way.valid && way.dirty) {
       tc.dram_write_bytes += kSector;
       way.dirty = false;
@@ -241,9 +284,8 @@ void CacheModel::flush_dirty(TrafficCounters& tc) {
 }
 
 void CacheModel::invalidate() {
-  std::fill(lines_.begin(), lines_.end(), Way{});
-  std::fill(set_tick_.begin(), set_tick_.end(), 0);
-  std::fill(mru_way_.begin(), mru_way_.end(), std::uint16_t{0});
+  ++epoch_;
+  std::fill(ref_lines_.begin(), ref_lines_.end(), Way{});
   tick_ = 0;
 }
 
@@ -267,6 +309,12 @@ void MemoryModel::probe(const std::uint64_t* sectors, unsigned count,
   }
 }
 
+void MemoryModel::issue_warp_request(bool write) {
+  ++counters_.warp_requests;
+  counters_.sectors_requested += scratch_.count;
+  probe(scratch_.data, scratch_.count, write);
+}
+
 void MemoryModel::warp_access(const Lanes<std::uint64_t>& addr, unsigned size,
                               LaneMask mask, bool write) {
   if (mask == 0) {
@@ -277,9 +325,22 @@ void MemoryModel::warp_access(const Lanes<std::uint64_t>& addr, unsigned size,
   } else {
     coalesce_warp_sectors(addr, size, mask, scratch_);
   }
-  ++counters_.warp_requests;
-  counters_.sectors_requested += scratch_.count;
-  probe(scratch_.data, scratch_.count, write);
+  issue_warp_request(write);
+}
+
+void MemoryModel::contiguous_access(std::uint64_t addr, unsigned size,
+                                    LaneMask mask, bool write) {
+  if (mask == 0) {
+    return;
+  }
+  if (reference_path_) {
+    // The oracle sees every lane, as the seed engine issued them.
+    coalesce_warp_sectors_reference(contiguous_lanes(addr, size), size, mask,
+                                    scratch_);
+  } else {
+    coalesce_contiguous_sectors(addr, size, mask, scratch_);
+  }
+  issue_warp_request(write);
 }
 
 void MemoryModel::scalar_access(std::uint64_t addr, unsigned size, bool write) {

@@ -13,16 +13,22 @@
 // the model rather than being assumed.
 //
 // Two implementations of the hot path coexist:
-//  * the optimized path — an in-order insertion-dedup coalescer with a
-//    monotone fast path, per-set LRU ticks and an MRU-way front check — and
-//  * the reference path — the original sort+unique coalescer and global-tick
-//    full-scan cache, kept as the behavioral oracle for differential tests
-//    and as the baseline the engine-throughput bench measures against.
-// Both produce the identical ascending distinct-sector stream per request,
-// so every counter is bitwise equal between the paths.
+//  * the optimized path — contiguous warp requests (one run of active
+//    lanes) issued as one byte range, an in-order insertion-dedup coalescer
+//    with a monotone fast path for everything else, and sets kept as
+//    most-recently-used-first lists of 8-byte entries whose contents expire
+//    in O(1) on a cold start — and
+//  * the reference path — the original sort+unique coalescer over every
+//    lane's address and the global-tick full-scan cache, kept as the
+//    behavioral oracle for differential tests and as the baseline the
+//    engine-throughput bench measures against.
+// Both produce the identical ascending distinct-sector stream per request
+// and the identical LRU victims, so every counter is bitwise equal between
+// the paths.
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -99,7 +105,23 @@ void coalesce_warp_sectors_reference(const Lanes<std::uint64_t>& addr,
                                      unsigned size, LaneMask mask,
                                      SectorBuffer& out);
 
+/// Compact the sectors of a contiguous warp request — active lane i touches
+/// [addr + i * size, addr + (i + 1) * size) — into `out`, in ascending order.
+/// When the active lanes form one run their byte ranges union to one range,
+/// whose sectors are listed directly; a mask with a hole goes through
+/// coalesce_warp_sectors.  The output equals coalesce_warp_sectors' on the
+/// per-lane addresses either way.
+void coalesce_contiguous_sectors(std::uint64_t addr, unsigned size,
+                                 LaneMask mask, SectorBuffer& out);
+
 /// Set-associative LRU sector cache with write-back / write-allocate policy.
+///
+/// Each set lists its resident sectors most-recently-used first, one 8-byte
+/// entry (`sector << 1 | dirty`) per way.  A hit moves its entry to the
+/// front; a miss inserts at the front and, in a full set, evicts the last
+/// entry — exact LRU.  Every set also records the epoch it was last touched
+/// in and how many entries it holds: invalidate() starts a new epoch, and a
+/// set from an older one reads as empty, so a cold start costs O(1).
 class CacheModel {
  public:
   /// Throws pd::Error unless `ways` ways of 32-byte sectors fit in
@@ -109,14 +131,13 @@ class CacheModel {
   CacheModel(std::uint64_t capacity_bytes, unsigned ways);
 
   /// Probe one sector; updates counters.  `write` marks the line dirty.
-  /// Returns true on hit.  Optimized path: MRU-way front check before the
-  /// associativity scan, per-set LRU tick (same relative recency order
-  /// within a set as a global tick, hence identical victims).
+  /// Returns true on hit.
   bool access(std::uint64_t sector_index, bool write, TrafficCounters& tc);
 
-  /// The seed implementation: full associativity scan, global LRU tick.
-  /// Counter-equivalent to access(); do not interleave the two within one
-  /// kernel launch (their recency stamps are tracked separately).
+  /// The seed implementation: a tag/stamp array of its own (allocated by the
+  /// first call), full associativity scan, global LRU tick.  Counter-
+  /// equivalent to access(), but the two keep separate contents, so a
+  /// stream stays on one of them until the next invalidate().
   bool access_reference(std::uint64_t sector_index, bool write,
                         TrafficCounters& tc);
 
@@ -131,32 +152,37 @@ class CacheModel {
   std::size_t sets() const { return sets_; }
 
  private:
-  struct Way {
+  struct SetState {
+    std::uint64_t epoch = 0;  ///< Contents are valid only if == epoch_.
+    std::uint32_t count = 0;  ///< Resident entries, front of the set.
+  };
+  struct Way {  ///< Reference-path line.
     std::uint64_t tag = 0;
     std::uint64_t stamp = 0;
     bool valid = false;
     bool dirty = false;
   };
-  bool hit_way(Way& way, bool write, TrafficCounters& tc, std::uint64_t stamp);
-  bool fill_way(Way* base, std::uint64_t sector_index, bool write,
-                TrafficCounters& tc, std::uint64_t stamp, unsigned* way_out);
 
   std::uint64_t capacity_bytes_;
   unsigned ways_;
   std::size_t sets_;
-  std::vector<Way> lines_;  ///< sets_ * ways_, row-major by set.
-  std::vector<std::uint64_t> set_tick_;  ///< Per-set recency clock (optimized).
-  std::vector<std::uint16_t> mru_way_;   ///< Most-recently-hit way per set.
-  std::uint64_t tick_ = 0;               ///< Global clock (reference path).
+  /// sets_ * ways_ entries, row-major by set, MRU first; only the first
+  /// `count` of a current-epoch set are ever read, so none is initialized.
+  std::unique_ptr<std::uint64_t[]> entries_;
+  std::vector<SetState> state_;  ///< One per set.
+  std::uint64_t epoch_ = 1;
+  std::vector<Way> ref_lines_;   ///< Reference path: sets_ * ways_, or empty.
+  std::uint64_t tick_ = 0;       ///< Reference path's global clock.
 };
 
 /// Per-device memory model: routes warp requests through the coalescer and
 /// the L2 model, accumulating counters for the active kernel.
 ///
-/// The L2 tag array (31.5 MB for the A100) is allocated by the first
-/// begin_kernel(), not here, so a Gpu that never launches — every
-/// native-backend DoseEngine — holds none.  A new cache is in exactly the
-/// state invalidate() leaves, so the first launch counts like any cold one.
+/// The L2 (10.5 MB of set entries and 1.3 MB of per-set state for the A100)
+/// is allocated by the first begin_kernel(), not here, so a Gpu that never
+/// launches — every native-backend DoseEngine — holds none.  A new cache is
+/// in exactly the state invalidate() leaves, so the first launch counts like
+/// any cold one.
 /// Accesses are valid between begin_kernel() and end_kernel().
 class MemoryModel {
  public:
@@ -168,6 +194,12 @@ class MemoryModel {
   /// across the warp (the coalescer) before probing L2.
   void warp_access(const Lanes<std::uint64_t>& addr, unsigned size, LaneMask mask,
                    bool write);
+
+  /// One contiguous warp-level memory instruction: active lane i touches
+  /// [addr + i * size, addr + (i + 1) * size).  Counted like warp_access on
+  /// the per-lane addresses; see coalesce_contiguous_sectors.
+  void contiguous_access(std::uint64_t addr, unsigned size, LaneMask mask,
+                         bool write);
 
   /// Uniform (single-lane / broadcast) access.
   void scalar_access(std::uint64_t addr, unsigned size, bool write);
@@ -190,7 +222,7 @@ class MemoryModel {
       cache_->invalidate();
     }
   }
-  /// Whether the L2 tag array has been allocated (a kernel has begun).
+  /// Whether the L2 has been allocated (a kernel has begun).
   bool cache_allocated() const { return cache_.has_value(); }
 
   const TrafficCounters& counters() const { return counters_; }
@@ -198,6 +230,8 @@ class MemoryModel {
  private:
   /// Probe the L2 with one request's sectors, in order, on the active path.
   void probe(const std::uint64_t* sectors, unsigned count, bool write);
+  /// Count the warp request whose sectors are in scratch_ and probe them.
+  void issue_warp_request(bool write);
 
   std::uint64_t l2_bytes_;
   unsigned l2_ways_;
@@ -220,7 +254,7 @@ class MemRoute {
   static MemRoute functional() { return MemRoute{}; }
 
   /// True when the launch skips traffic simulation — WarpCtx uses this to
-  /// elide address generation on its vector ops.
+  /// elide address generation on its gathers and scatters.
   bool functional_only() const { return mem_ == nullptr; }
 
   /// True when the launch runs blocks concurrently: atomic_add_scatter must
@@ -239,6 +273,12 @@ class MemRoute {
                    LaneMask mask, bool write) {
     if (mem_ != nullptr) {
       mem_->warp_access(addr, size, mask, write);
+    }
+  }
+  void contiguous_access(std::uint64_t addr, unsigned size, LaneMask mask,
+                         bool write) {
+    if (mem_ != nullptr) {
+      mem_->contiguous_access(addr, size, mask, write);
     }
   }
   void scalar_access(std::uint64_t addr, unsigned size, bool write) {

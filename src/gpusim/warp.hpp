@@ -11,8 +11,9 @@
 // The MemRoute decouples the kernel from the engine mode: under kSerial it
 // feeds the MemoryModel inline; under kFunctionalOnly it holds no memory
 // model and drops the traffic entirely — and WarpCtx then skips building the
-// per-lane address vectors altogether, which is where most of the
-// functional-only speedup comes from.
+// per-lane address vectors of gathers and scatters, which is where most of
+// the functional-only speedup comes from.  Contiguous loads and stores never
+// build them: they hand the route lane 0's address and the element size.
 //
 // All loads and stores operate on live host memory: the simulated kernels
 // compute real results, which the test suite checks against references.
@@ -114,29 +115,20 @@ class WarpCtx {
 
   /// Contiguous warp load: lane i reads base[start + i] for active lanes —
   /// the coalesced access pattern the vector-CSR kernel is built around.
+  /// The memory model sees one request over the lanes' element range.
   template <typename T>
   Lanes<T> load_contiguous(const T* base, std::uint64_t start, LaneMask mask) {
     if (CheckContext* chk = route_.check()) {
       check_contiguous(chk, base + start, sizeof(T), mask, /*write=*/false);
     }
     Lanes<T> out{};
-    if (route_.functional_only()) {
-      for (unsigned i = 0; i < kWarpSize; ++i) {
-        if (lane_active(mask, i)) {
-          out[i] = base[start + i];
-        }
-      }
-      note_instr(popcount_mask(mask));
-      return out;
-    }
-    Lanes<std::uint64_t> addr;
     for (unsigned i = 0; i < kWarpSize; ++i) {
       if (lane_active(mask, i)) {
-        addr[i] = reinterpret_cast<std::uint64_t>(base + start + i);
         out[i] = base[start + i];
       }
     }
-    route_.warp_access(addr, sizeof(T), mask, /*write=*/false);
+    route_.contiguous_access(reinterpret_cast<std::uint64_t>(base + start),
+                             sizeof(T), mask, /*write=*/false);
     note_instr(popcount_mask(mask));
     return out;
   }
@@ -189,23 +181,13 @@ class WarpCtx {
     if (CheckContext* chk = route_.check()) {
       check_contiguous(chk, base + start, sizeof(T), mask, /*write=*/true);
     }
-    if (route_.functional_only()) {
-      for (unsigned i = 0; i < kWarpSize; ++i) {
-        if (lane_active(mask, i)) {
-          base[start + i] = val[i];
-        }
-      }
-      note_instr(popcount_mask(mask));
-      return;
-    }
-    Lanes<std::uint64_t> addr;
     for (unsigned i = 0; i < kWarpSize; ++i) {
       if (lane_active(mask, i)) {
-        addr[i] = reinterpret_cast<std::uint64_t>(base + start + i);
         base[start + i] = val[i];
       }
     }
-    route_.warp_access(addr, sizeof(T), mask, /*write=*/true);
+    route_.contiguous_access(reinterpret_cast<std::uint64_t>(base + start),
+                             sizeof(T), mask, /*write=*/true);
     note_instr(popcount_mask(mask));
   }
 

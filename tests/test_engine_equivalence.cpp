@@ -383,8 +383,9 @@ TEST(EngineEquivalence, SimcheckDoesNotPerturbStreamCsr) {
 // --- optimized vs reference hot path (differential) --------------------------
 
 TEST(EngineEquivalence, OptimizedHotPathMatchesReferencePath) {
-  // The insertion-dedup coalescer + per-set-tick/MRU cache must be counter-
-  // bitwise-identical to the seed's sort+unique coalescer + global-tick scan.
+  // One-range contiguous requests, the insertion-dedup coalescer and the
+  // MRU-ordered sets must be counter-bitwise-identical to the seed's
+  // sort+unique coalescer + global-tick scan.
   const Problem p = make_problem(sparse::RandomStructure::kSkewed, 2109, 500,
                                  120, 20.0);
   const auto mh = sparse::convert_values<pd::Half>(p.matrix);

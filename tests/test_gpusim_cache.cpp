@@ -1,11 +1,14 @@
 // Tests for the L2 sector-cache model and the warp coalescer: hit/miss
-// accounting, LRU eviction, write-back behaviour, Nsight-style counters, and
-// the L2's allocation on first simulated use.
+// accounting, LRU eviction, write-back behaviour, Nsight-style counters, the
+// L2's allocation on first simulated use, and differentials of the optimized
+// cache and contiguous-request paths against the seed implementations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/memory.hpp"
@@ -233,6 +236,176 @@ TEST(CacheModel, FlushAndInvalidateOnUnusedCacheAreNoOps) {
   expect_same_traffic(a, b);
 }
 
+bool same_traffic(const TrafficCounters& a, const TrafficCounters& b) {
+  return a.dram_read_bytes == b.dram_read_bytes &&
+         a.dram_write_bytes == b.dram_write_bytes &&
+         a.l2_read_sectors == b.l2_read_sectors &&
+         a.l2_write_sectors == b.l2_write_sectors &&
+         a.l2_read_hits == b.l2_read_hits &&
+         a.l2_write_hits == b.l2_write_hits &&
+         a.l2_atomic_ops == b.l2_atomic_ops &&
+         a.warp_requests == b.warp_requests &&
+         a.sectors_requested == b.sectors_requested &&
+         a.scalar_requests == b.scalar_requests &&
+         a.scalar_sectors == b.scalar_sectors;
+}
+
+TEST(CacheModel, MatchesReferenceOnSeededStreams) {
+  // The MRU-ordered sets against the seed's stamp scan, access by access.
+  // Each stream works a window of a few sets: hot sectors (a few more than
+  // the ways, so they also evict each other), streaming sectors that never
+  // repeat, and random far sectors, read or written, with flushes and cold
+  // starts interleaved.
+  const DeviceSpec a100 = make_a100();
+  struct Geometry {
+    std::uint64_t capacity;
+    unsigned ways;
+    std::size_t sets;
+  };
+  const Geometry geometries[] = {
+      {8 * kSector, 2, 4},
+      {1024 * kSector, 4, 256},
+      {a100.l2_bytes, a100.l2_ways, 81920},  // not a power of two
+  };
+  for (const Geometry& g : geometries) {
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+      SCOPED_TRACE(testing::Message() << "ways=" << g.ways << " sets=" << g.sets
+                                      << " seed=" << seed);
+      CacheModel fast(g.capacity, g.ways);
+      CacheModel ref(g.capacity, g.ways);
+      ASSERT_EQ(fast.sets(), g.sets);
+      Rng rng(seed);
+      const std::uint64_t window = std::min<std::uint64_t>(g.sets, 8);
+      const std::uint64_t first_set = rng.uniform_index(g.sets);
+      std::uint64_t next_stream_tag = g.ways + 2;  // above every hot tag
+      TrafficCounters a, b;
+      std::uint64_t invalidations = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t roll = rng.uniform_index(1000);
+        if (roll == 0) {
+          fast.invalidate();
+          ref.invalidate();
+          ++invalidations;
+          continue;
+        }
+        if (roll < 4) {
+          fast.flush_dirty(a);
+          ref.flush_dirty(b);
+          ASSERT_TRUE(same_traffic(a, b)) << "flush before access " << i;
+          continue;
+        }
+        const std::uint64_t set =
+            (first_set + rng.uniform_index(window)) % g.sets;
+        std::uint64_t sector;
+        if (roll < 600) {
+          sector = set + rng.uniform_index(g.ways + 2) * g.sets;
+        } else if (roll < 950) {
+          sector = set + next_stream_tag++ * g.sets;
+        } else {
+          sector = rng.uniform_index(std::uint64_t{1} << 40);
+        }
+        const bool write = rng.uniform_index(3) == 0;
+        ASSERT_EQ(fast.access(sector, write, a),
+                  ref.access_reference(sector, write, b))
+            << "access " << i << " sector " << sector;
+        ASSERT_TRUE(same_traffic(a, b)) << "access " << i;
+      }
+      fast.flush_dirty(a);
+      ref.flush_dirty(b);
+      expect_same_traffic(a, b);
+      // The streams exercised what they are meant to.
+      EXPECT_GT(invalidations, 0u);
+      EXPECT_GT(a.l2_read_hits, 0u);
+      EXPECT_GT(a.l2_write_hits, 0u);
+      EXPECT_GT(a.dram_write_bytes, 0u);
+    }
+  }
+}
+
+// --- contiguous requests: one byte range per run of active lanes ----------
+
+std::vector<std::uint64_t> sectors_of(const SectorBuffer& buf) {
+  return {buf.data, buf.data + buf.count};
+}
+
+Lanes<std::uint64_t> lane_addresses(std::uint64_t addr, unsigned size) {
+  Lanes<std::uint64_t> lanes;
+  for (unsigned i = 0; i < kWarpSize; ++i) {
+    lanes[i] = addr + std::uint64_t{i} * size;
+  }
+  return lanes;
+}
+
+/// A small L2, so that the models compared below evict and write back.
+DeviceSpec small_l2() {
+  DeviceSpec spec = make_a100();
+  spec.l2_bytes = 256 * kSector;
+  spec.l2_ways = 4;
+  return spec;
+}
+
+TEST(MemoryModel, ContiguousRunIsOneRangeRequest) {
+  // Every run of active lanes, element size and base alignment: the range
+  // path lists exactly the lane coalescer's sectors and counts alike.
+  MemoryModel by_range(small_l2());
+  MemoryModel by_lane(small_l2());
+  by_range.begin_kernel();
+  by_lane.begin_kernel();
+  for (const unsigned size : {1u, 2u, 4u, 8u, 16u}) {
+    for (const std::uint64_t base :
+         {4096u, 4097u, 4099u, 4104u, 4113u, 4127u}) {
+      for (unsigned first = 0; first < kWarpSize; ++first) {
+        for (unsigned len = 1; first + len <= kWarpSize; ++len) {
+          SCOPED_TRACE(testing::Message() << "size=" << size << " base=" << base
+                                          << " lanes=" << first << "+" << len);
+          const LaneMask mask = first_lanes(len) << first;
+          const Lanes<std::uint64_t> lanes = lane_addresses(base, size);
+          SectorBuffer range, coalesced;
+          coalesce_contiguous_sectors(base, size, mask, range);
+          coalesce_warp_sectors(lanes, size, mask, coalesced);
+          ASSERT_EQ(sectors_of(range), sectors_of(coalesced));
+
+          const bool write = (first + len) % 3 == 0;
+          by_range.contiguous_access(base, size, mask, write);
+          by_lane.warp_access(lanes, size, mask, write);
+          ASSERT_TRUE(same_traffic(by_range.counters(), by_lane.counters()));
+        }
+      }
+    }
+  }
+  expect_same_traffic(by_range.end_kernel(), by_lane.end_kernel());
+  EXPECT_EQ(by_range.counters().warp_requests, 5u * 6u * (32u * 33u / 2u));
+}
+
+TEST(MemoryModel, ContiguousMaskWithAHoleUsesTheLaneCoalescer) {
+  // Lanes 0 and 5 of 16-byte elements touch sectors 0 and 2; the bytes
+  // between them, sector 1, are not requested.
+  SectorBuffer out;
+  coalesce_contiguous_sectors(0, 16, 0b100001u, out);
+  EXPECT_EQ(sectors_of(out), (std::vector<std::uint64_t>{0, 2}));
+
+  MemoryModel by_range(small_l2());
+  MemoryModel by_lane(small_l2());
+  by_range.begin_kernel();
+  by_lane.begin_kernel();
+  Rng rng(4242);
+  for (int i = 0; i < 5000; ++i) {
+    const unsigned size = 1u << rng.uniform_index(5);  // 1..16 bytes
+    const std::uint64_t base = 4096 + rng.uniform_index(4096);
+    // Random masks: almost all have holes; an empty one requests nothing.
+    const auto mask = static_cast<LaneMask>(i == 0 ? 0 : rng.next_u64());
+    const Lanes<std::uint64_t> lanes = lane_addresses(base, size);
+    SectorBuffer range, coalesced;
+    coalesce_contiguous_sectors(base, size, mask, range);
+    coalesce_warp_sectors(lanes, size, mask, coalesced);
+    ASSERT_EQ(sectors_of(range), sectors_of(coalesced)) << "mask " << mask;
+    by_range.contiguous_access(base, size, mask, /*write=*/i % 2 == 0);
+    by_lane.warp_access(lanes, size, mask, /*write=*/i % 2 == 0);
+    ASSERT_TRUE(same_traffic(by_range.counters(), by_lane.counters()));
+  }
+  expect_same_traffic(by_range.end_kernel(), by_lane.end_kernel());
+}
+
 TEST(MemoryModel, AllocatesL2OnFirstKernel) {
   MemoryModel mem(make_a100());
   EXPECT_FALSE(mem.cache_allocated());
@@ -307,10 +480,21 @@ TEST(LazyL2, FirstLaunchCountsLikeAColdLaunch) {
     expect_same_traffic(work.run(warm_first, /*cold_cache=*/false).traffic,
                         first.traffic);
 
-    // The reference coalescer and cache scan agree from their first launch.
+    // The reference coalescer and cache scan agree from their first launch,
+    // and on warm relaunches that start from what the launch before left.
+    Gpu fast(spec);
     Gpu reference(spec);
     reference.set_reference_memory_path(true);
-    expect_same_traffic(work.run(reference).traffic, first.traffic);
+    const KernelStats ref_first = work.run(reference);
+    expect_same_traffic(work.run(fast).traffic, ref_first.traffic);
+    expect_same_traffic(ref_first.traffic, first.traffic);
+    for (int relaunch = 0; relaunch < 2; ++relaunch) {
+      SCOPED_TRACE(testing::Message() << "warm relaunch " << relaunch);
+      const KernelStats warm = work.run(fast, /*cold_cache=*/false);
+      expect_same_traffic(warm.traffic,
+                          work.run(reference, /*cold_cache=*/false).traffic);
+      EXPECT_LT(warm.traffic.dram_read_bytes, first.traffic.dram_read_bytes);
+    }
   }
 }
 
