@@ -5,16 +5,20 @@
 // SpMV launch counts by 10-100x.  This bench measures simulated
 // warp-instructions/sec and sectors/sec on Liver 1 for each engine mode
 // against the retained reference memory path (the seed's sort+unique
-// coalescer and global-tick cache scan), and records the trajectory in
-// BENCH_gpusim.json so regressions and wins show up across commits.  Each
-// mode is timed in kRounds interleaved rounds; the file records the median
-// and the interquartile spread, so a speedup can be told from noise.
+// coalescer, per-lane atomics and global-tick cache scan), and records the
+// trajectory in BENCH_gpusim.json so regressions and wins show up across
+// commits.  The Half/Double kernel runs in every engine mode; the atomic
+// GPU Baseline, whose time goes to L2 atomics, runs serially on both memory
+// paths.  Each mode is timed in kRounds interleaved rounds and compared with
+// its own kernel's reference path; the file records the median and the
+// interquartile spread, so a speedup can be told from noise.
 
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -22,7 +26,9 @@
 #include "common/table.hpp"
 #include "fp16/half.hpp"
 #include "gpusim/simcheck.hpp"
+#include "kernels/baseline_gpu.hpp"
 #include "kernels/vector_csr.hpp"
+#include "rsformat/rsmatrix.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/random.hpp"
 
@@ -31,8 +37,18 @@ namespace {
 constexpr std::size_t kRounds = 7;
 constexpr double kMinSecondsPerRound = 0.4;
 
+enum class Kernel { kHalfDouble, kBaseline };
+
+std::string kernel_name(Kernel k) {
+  return k == Kernel::kHalfDouble
+             ? "vector_csr<half,double> tpb=512"
+             : "baseline_gpu<rsformat> tpb=" +
+                   std::to_string(pd::kernels::kDefaultBaselineTpb);
+}
+
 struct ModeSpec {
   std::string name;
+  Kernel kernel;
   bool reference_path;
   pd::gpusim::EngineOptions engine;
 };
@@ -72,17 +88,26 @@ int main() {
   pd::Rng rng(2022);
   const std::vector<double> x =
       pd::sparse::random_vector(rng, beam.matrix.num_cols, 0.5, 2.0);
+  const auto rs = pd::rsformat::RsMatrix::from_csr(beam.matrix);
   std::vector<double> y(beam.matrix.num_rows);
 
+  const pd::gpusim::EngineOptions serial{pd::gpusim::TraceMode::kSerial, 1};
   const std::vector<ModeSpec> modes = {
-      {"serial_reference", true,
-       {pd::gpusim::TraceMode::kSerial, 1}},
-      {"serial", false, {pd::gpusim::TraceMode::kSerial, 1}},
-      {"functional_only", false,
+      {"serial_reference", Kernel::kHalfDouble, true, serial},
+      {"serial", Kernel::kHalfDouble, false, serial},
+      {"functional_only", Kernel::kHalfDouble, false,
        {pd::gpusim::TraceMode::kFunctionalOnly, 0}},
+      {"baseline_serial_reference", Kernel::kBaseline, true, serial},
+      {"baseline_serial", Kernel::kBaseline, false, serial},
   };
 
-  auto launch_once = [&](pd::gpusim::Gpu& gpu) {
+  auto launch_once = [&](pd::gpusim::Gpu& gpu, Kernel kernel) {
+    if (kernel == Kernel::kBaseline) {
+      return pd::kernels::run_baseline_gpu(gpu, rs, x, std::span<double>(y),
+                                           pd::kernels::kDefaultBaselineTpb,
+                                           /*schedule_seed=*/1)
+          .stats;
+    }
     return pd::kernels::run_vector_csr<pd::Half, double>(
                gpu, mh, x, std::span<double>(y), 512, /*seed=*/1)
         .stats;
@@ -113,7 +138,7 @@ int main() {
   const auto samples = pd::bench::interleaved_rounds(
       modes.size(), kRounds, [&](std::size_t i) {
         return pd::bench::time_per_call(
-            [&] { results[i].stats = launch_once(*gpus[i]); },
+            [&] { results[i].stats = launch_once(*gpus[i], modes[i].kernel); },
             kMinSecondsPerRound);
       });
   for (std::size_t i = 0; i < modes.size(); ++i) {
@@ -127,9 +152,13 @@ int main() {
         static_cast<double>(r.stats.traffic.total_sectors()) /
         r.spread.median;
   }
-  for (auto& r : results) {
-    r.speedup_vs_reference =
-        results.front().spread.median / r.spread.median;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    for (std::size_t ref = 0; ref < modes.size(); ++ref) {
+      if (modes[ref].reference_path && modes[ref].kernel == modes[i].kernel) {
+        results[i].speedup_vs_reference =
+            results[ref].spread.median / results[i].spread.median;
+      }
+    }
   }
 
   pd::TextTable table({"engine mode", "ms / launch (median)", "IQR/median",
@@ -146,7 +175,9 @@ int main() {
   std::cout << table.str() << kRounds << " interleaved rounds per mode, each"
             << " at least " << kMinSecondsPerRound << " s of launches.\n";
   std::cout << "functional_only skips the cache model entirely (correctness-"
-               "only callers: tests, optimizer inner loops).\n\n";
+               "only callers: tests, optimizer inner loops).\n"
+            << "baseline_* rows run the atomic GPU Baseline; every speedup is "
+               "against its own kernel's reference path.\n\n";
 
   std::vector<std::vector<std::string>> rows;
   for (const auto& r : results) {
@@ -165,7 +196,7 @@ int main() {
   json << "  \"bench\": \"wallclock_sim_throughput\",\n";
   json << "  \"beam\": \"" << beam.label << "\",\n";
   json << "  \"scale\": " << scale << ",\n";
-  json << "  \"kernel\": \"vector_csr<half,double> tpb=512\",\n";
+  json << "  \"kernel\": \"" << kernel_name(Kernel::kHalfDouble) << "\",\n";
   json << "  \"simcheck\": " << (simcheck ? "true" : "false") << ",\n";
   json << "  \"min_seconds_per_repeat\": " << kMinSecondsPerRound << ",\n";
   json << "  \"warp_instrs_per_launch\": "
@@ -175,7 +206,8 @@ int main() {
   json << "  \"modes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    json << "    {\"mode\": \"" << r.name << "\", \"repeats\": "
+    json << "    {\"mode\": \"" << r.name << "\", \"kernel\": \""
+         << kernel_name(modes[i].kernel) << "\", \"repeats\": "
          << r.spread.repeats << ", \"us_per_launch\": "
          << fmt(r.spread.median * 1e6, 1)
          << ", \"us_q1\": " << fmt(r.spread.q1 * 1e6, 1)

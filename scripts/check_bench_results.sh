@@ -124,6 +124,20 @@ else
     if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$sim"; then
       echo "FAIL BENCH_gpusim.json: not valid JSON"
       fail=1
+    # Every mode must be there: the Half/Double kernel in each engine mode
+    # and the atomic Baseline on both memory paths.
+    elif ! python3 - "$sim" <<'EOF'
+import json, sys
+have = {m["mode"] for m in json.load(open(sys.argv[1]))["modes"]}
+want = ["serial_reference", "serial", "functional_only",
+        "baseline_serial_reference", "baseline_serial"]
+missing = [m for m in want if m not in have]
+print(f"{'FAIL' if missing else 'ok  '} BENCH_gpusim.json modes" +
+      (f": missing {', '.join(missing)}" if missing else ""))
+sys.exit(1 if missing else 0)
+EOF
+    then
+      fail=1
     # Perf gate on the optimized memory path: the serial engine must beat the
     # seed reference path (sort+unique coalescer, stamp-scan cache) by a
     # floor well below the ratio measured at scale 0.2 (3.3-3.7x in five

@@ -8,9 +8,13 @@
 // model CUDA cooperative groups expose (tiled_partition<32>, labeled
 // participation masks).  This keeps lane-level memory access patterns — the
 // thing the paper's analysis hinges on — bit-identical to the CUDA source.
+// Warp reductions and scans fix the combination order of floating-point
+// lanes; an unsigned scan, whose bits no order can change, takes the
+// cheapest one.
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -89,13 +93,27 @@ T warp_reduce_add(const Lanes<T>& x, LaneMask m = kFullMask) {
 
 /// Warp-wide inclusive segmented prefix data: head flags mark the first lane
 /// of each segment.  Used by the adaptive (cuSPARSE-style) kernel to reduce
-/// several short rows held by one warp, again in a fixed deterministic order.
+/// several short rows held by one warp, again in a fixed deterministic order,
+/// and by the atomic baseline to turn row advances into row indices.
+///
+/// Floating-point lanes take the Hillis–Steele network, whose combination
+/// order fixes their rounding.  Unsigned lanes take a running sum within each
+/// segment: their addition is associative (modulo 2^bits), so it gives the
+/// network's bits in a fraction of the steps.
 template <typename T>
 Lanes<T> warp_segmented_inclusive_sum(const Lanes<T>& x, LaneMask head_flags,
                                       LaneMask active = kFullMask) {
   Lanes<T> out;
   for (unsigned i = 0; i < kWarpSize; ++i) {
     out.v[i] = lane_active(active, i) ? x.v[i] : T{};
+  }
+  if constexpr (std::is_unsigned_v<T>) {
+    for (unsigned i = 1; i < kWarpSize; ++i) {
+      if (!lane_active(head_flags, i)) {
+        out.v[i] = static_cast<T>(out.v[i - 1] + out.v[i]);
+      }
+    }
+    return out;
   }
   // Hillis–Steele with segment boundaries: lane i accumulates lane i-d unless
   // a segment head lies in (i-d, i].

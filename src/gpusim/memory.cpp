@@ -205,6 +205,19 @@ bool CacheModel::access(std::uint64_t sector_index, bool write,
   return hit;
 }
 
+void CacheModel::read_modify_write(std::uint64_t sector_index,
+                                   TrafficCounters& tc) {
+  // One write probe leaves the set as the read and write probes would: the
+  // sector at the front, dirty, with the same victim evicted on a miss.  Add
+  // the read's counts, and the write hit that follows a read miss.
+  if (access(sector_index, /*write=*/true, tc)) {
+    ++tc.l2_read_hits;
+  } else {
+    ++tc.l2_write_hits;
+  }
+  ++tc.l2_read_sectors;
+}
+
 bool CacheModel::access_reference(std::uint64_t sector_index, bool write,
                                   TrafficCounters& tc) {
   if (ref_lines_.empty()) {
@@ -359,6 +372,46 @@ void MemoryModel::atomic_access(std::uint64_t addr, unsigned size) {
     probe(scratch_.data + i, 1, /*write=*/false);
     probe(scratch_.data + i, 1, /*write=*/true);
   }
+}
+
+void MemoryModel::warp_atomic_access(const Lanes<std::uint64_t>& addr,
+                                     unsigned size, LaneMask mask) {
+  if (reference_path_) {
+    // The oracle issues every lane on its own, as the seed engine did.
+    for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+      if (lane_active(mask, lane)) {
+        atomic_access(addr[lane], size);
+      }
+    }
+    return;
+  }
+  PD_ASSERT(cache_.has_value());  // begin_kernel() allocated it
+  CacheModel& cache = *cache_;
+  counters_.l2_atomic_ops += popcount_mask(mask);
+  // The sector read-modify-written last.  A repeat of it right away finds it
+  // at the front of its set, already dirty: its read and write probes would
+  // both hit and move nothing, so they are counted without a probe.  Any
+  // other sector in between may have moved or evicted it, so only the
+  // immediately preceding one folds.
+  std::uint64_t last = ~std::uint64_t{0};
+  std::uint64_t folded = 0;
+  for (LaneMask m = mask; m != 0; m &= m - 1) {
+    const auto lane = static_cast<unsigned>(__builtin_ctz(m));
+    const std::uint64_t first = addr[lane] / kSector;
+    const std::uint64_t end = (addr[lane] + size - 1) / kSector;
+    for (std::uint64_t s = first; s <= end; ++s) {
+      if (s == last) {
+        ++folded;
+      } else {
+        cache.read_modify_write(s, counters_);
+        last = s;
+      }
+    }
+  }
+  counters_.l2_read_sectors += folded;
+  counters_.l2_read_hits += folded;
+  counters_.l2_write_sectors += folded;
+  counters_.l2_write_hits += folded;
 }
 
 void MemoryModel::begin_kernel() {

@@ -15,16 +15,19 @@
 // Two implementations of the hot path coexist:
 //  * the optimized path — contiguous warp requests (one run of active
 //    lanes) issued as one byte range, an in-order insertion-dedup coalescer
-//    with a monotone fast path for everything else, and sets kept as
-//    most-recently-used-first lists of 8-byte entries whose contents expire
-//    in O(1) on a cold start — and
+//    with a monotone fast path for everything else, warp atomics issued as
+//    one request that gives each sector one fused read-modify-write and
+//    counts a lane repeating the sector just written without a probe, and
+//    sets kept as most-recently-used-first lists of 8-byte entries whose
+//    contents expire in O(1) on a cold start — and
 //  * the reference path — the original sort+unique coalescer over every
-//    lane's address and the global-tick full-scan cache, kept as the
-//    behavioral oracle for differential tests and as the baseline the
-//    engine-throughput bench measures against.
-// Both produce the identical ascending distinct-sector stream per request
-// and the identical LRU victims, so every counter is bitwise equal between
-// the paths.
+//    lane's address, a read and a write probe per atomic lane, and the
+//    global-tick full-scan cache, kept as the behavioral oracle for
+//    differential tests and as the baseline the engine-throughput bench
+//    measures against.
+// Both produce the identical ascending distinct-sector stream per request,
+// the identical per-lane atomic accounting and the identical LRU victims,
+// so every counter is bitwise equal between the paths.
 
 #include <array>
 #include <cstdint>
@@ -134,6 +137,13 @@ class CacheModel {
   /// Returns true on hit.
   bool access(std::uint64_t sector_index, bool write, TrafficCounters& tc);
 
+  /// An atomic's read-modify-write of one sector with one set lookup,
+  /// counted and cached exactly as access(sector, false) followed by
+  /// access(sector, true).  The read leaves the sector at the front of its
+  /// set, so the write hits and only marks that entry dirty: one write probe
+  /// leaves the same state, and the read's counts are added to it.
+  void read_modify_write(std::uint64_t sector_index, TrafficCounters& tc);
+
   /// The seed implementation: a tag/stamp array of its own (allocated by the
   /// first call), full associativity scan, global LRU tick.  Counter-
   /// equivalent to access(), but the two keep separate contents, so a
@@ -204,8 +214,20 @@ class MemoryModel {
   /// Uniform (single-lane / broadcast) access.
   void scalar_access(std::uint64_t addr, unsigned size, bool write);
 
-  /// Atomic read-modify-write of one `size`-byte word, serviced at L2.
+  /// Atomic read-modify-write of one `size`-byte word, serviced at L2: a
+  /// read and a write probe per sector.  The per-lane oracle of
+  /// warp_atomic_access, whose reference path issues it lane by lane.
   void atomic_access(std::uint64_t addr, unsigned size);
+
+  /// One warp atomic instruction: active lane i updates the `size`-byte
+  /// word at addr[i], in lane order.  Counted exactly as atomic_access on
+  /// each active lane in turn.  The optimized path gives each sector one
+  /// fused read-modify-write, and counts a sector equal to the one just
+  /// read-modify-written as a read hit and a write hit without a probe: that
+  /// sector is at the front of its set and dirty, so re-probing it would
+  /// change nothing.
+  void warp_atomic_access(const Lanes<std::uint64_t>& addr, unsigned size,
+                          LaneMask mask);
 
   /// Route subsequent accesses through the seed (reference) coalescer and
   /// cache scan instead of the optimized ones.  Counters are identical
@@ -286,9 +308,10 @@ class MemRoute {
       mem_->scalar_access(addr, size, write);
     }
   }
-  void atomic_access(std::uint64_t addr, unsigned size) {
+  void warp_atomic_access(const Lanes<std::uint64_t>& addr, unsigned size,
+                          LaneMask mask) {
     if (mem_ != nullptr) {
-      mem_->atomic_access(addr, size);
+      mem_->warp_atomic_access(addr, size, mask);
     }
   }
 

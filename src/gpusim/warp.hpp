@@ -14,6 +14,8 @@
 // per-lane address vectors of gathers and scatters, which is where most of
 // the functional-only speedup comes from.  Contiguous loads and stores never
 // build them: they hand the route lane 0's address and the element size.
+// Atomics, like gathers, hand the route all lane addresses in one request,
+// which the memory model walks in lane order.
 //
 // All loads and stores operate on live host memory: the simulated kernels
 // compute real results, which the test suite checks against references.
@@ -225,7 +227,8 @@ class WarpCtx {
   /// built on this primitive are not bitwise reproducible (paper §II-D).
   /// When the engine runs blocks concurrently (functional-only, so there is
   /// no traffic to count) the addition uses a real atomic RMW, mirroring
-  /// hardware: race-free totals, nondeterministic FP order.
+  /// hardware: race-free totals, nondeterministic FP order.  Otherwise the
+  /// memory model sees one warp atomic request over the lanes' addresses.
   template <typename T, typename I>
   void atomic_add_scatter(T* base, const Lanes<I>& idx, const Lanes<T>& val,
                           LaneMask mask) {
@@ -253,13 +256,23 @@ class WarpCtx {
         return;
       }
     }
+    if (route_.functional_only()) {
+      for (unsigned i = 0; i < kWarpSize; ++i) {
+        if (lane_active(mask, i)) {
+          base[idx[i]] += val[i];
+        }
+      }
+      note_instr(popcount_mask(mask));
+      return;
+    }
+    Lanes<std::uint64_t> addr;
     for (unsigned i = 0; i < kWarpSize; ++i) {
       if (lane_active(mask, i)) {
+        addr[i] = reinterpret_cast<std::uint64_t>(base + idx[i]);
         base[idx[i]] += val[i];
-        route_.atomic_access(reinterpret_cast<std::uint64_t>(base + idx[i]),
-                             sizeof(T));
       }
     }
+    route_.warp_atomic_access(addr, sizeof(T), mask);
     note_instr(popcount_mask(mask));
   }
 

@@ -410,21 +410,44 @@ TEST(EngineEquivalence, OptimizedHotPathMatchesReferencePath) {
 
 TEST(EngineEquivalence, ReferencePathAtomicKernel) {
   // Same differential through the atomic/baseline kernel, which mixes scalar,
-  // vector and atomic requests.
-  const Problem p = make_problem(sparse::RandomStructure::kUniform, 2110, 200,
-                                 60, 10.0);
-  const rsformat::RsMatrix rs = rsformat::RsMatrix::from_csr(p.matrix);
-  Gpu opt_gpu(gpusim::make_a100());
-  Gpu ref_gpu(gpusim::make_a100());
-  ref_gpu.set_reference_memory_path(true);
-  std::vector<double> ybuf(p.matrix.num_rows);
-  const auto opt =
-      run_baseline_gpu(opt_gpu, rs, p.x, std::span<double>(ybuf), 128, 42);
-  const std::vector<double> y_opt = ybuf;
-  const auto ref =
-      run_baseline_gpu(ref_gpu, rs, p.x, std::span<double>(ybuf), 128, 42);
-  expect_stats_bitwise_equal(opt.stats, ref.stats);
-  EXPECT_EQ(y_opt, ybuf);
+  // vector and warp atomic requests: every schedule, uniform and skewed
+  // columns, on the A100's L2 and on an 8 KiB one whose atomics evict dirty
+  // lines.
+  gpusim::DeviceSpec small_l2 = gpusim::make_a100();
+  small_l2.l2_bytes = 8 * 1024;
+  small_l2.l2_ways = 4;
+  const gpusim::DeviceSpec specs[] = {gpusim::make_a100(), small_l2};
+  for (const auto structure :
+       {sparse::RandomStructure::kUniform, sparse::RandomStructure::kSkewed}) {
+    // 2000 rows: the 16 KB output alone overflows the small L2.
+    const Problem p = make_problem(structure, 2110, 2000, 60, 10.0);
+    const rsformat::RsMatrix rs = rsformat::RsMatrix::from_csr(p.matrix);
+    std::vector<double> ybuf(p.matrix.num_rows);
+    for (const std::uint64_t seed : kSeeds) {
+      std::uint64_t dram_write_bytes[2] = {};
+      for (std::size_t d = 0; d < 2; ++d) {
+        const gpusim::DeviceSpec& spec = specs[d];
+        SCOPED_TRACE(testing::Message()
+                     << "skewed=" << (structure == sparse::RandomStructure::kSkewed)
+                     << " seed=" << seed << " l2_bytes=" << spec.l2_bytes);
+        Gpu opt_gpu(spec);
+        Gpu ref_gpu(spec);
+        ref_gpu.set_reference_memory_path(true);
+        const auto opt = run_baseline_gpu(opt_gpu, rs, p.x,
+                                          std::span<double>(ybuf), 128, seed);
+        const std::vector<double> y_opt = ybuf;
+        const auto ref = run_baseline_gpu(ref_gpu, rs, p.x,
+                                          std::span<double>(ybuf), 128, seed);
+        expect_stats_bitwise_equal(opt.stats, ref.stats);
+        EXPECT_EQ(y_opt, ybuf);
+        EXPECT_GT(opt.stats.traffic.l2_atomic_ops, 0u);
+        dram_write_bytes[d] = opt.stats.traffic.dram_write_bytes;
+      }
+      // The small L2 writes dirty lines back before the kernel ends, and
+      // more than once where atomics dirty them again.
+      EXPECT_GT(dram_write_bytes[1], dram_write_bytes[0]);
+    }
+  }
 }
 
 // --- coalescer unit-level differential ---------------------------------------

@@ -406,6 +406,157 @@ TEST(MemoryModel, ContiguousMaskWithAHoleUsesTheLaneCoalescer) {
   expect_same_traffic(by_range.end_kernel(), by_lane.end_kernel());
 }
 
+// --- warp atomics: one request per instruction, one probe per sector -----
+
+TEST(MemoryModel, WarpAtomicMatchesPerLaneAtomics) {
+  // Seeded warp atomic instructions, each counted three ways: one
+  // warp_atomic_access on the optimized path, per-lane atomic_access calls
+  // on a twin model, and warp_atomic_access on the reference path.  All
+  // eleven counters must agree after every instruction, with contiguous
+  // requests, cold starts and kernel ends interleaved.  Lanes draw sectors
+  // from a window of at most 8 sets, ways + 2 tags per set, so an
+  // instruction repeats sectors next to each other and apart, and evicts
+  // dirty lines its own lanes or earlier instructions wrote.
+  const DeviceSpec a100 = make_a100();
+  struct Geometry {
+    std::uint64_t capacity;
+    unsigned ways;
+    std::size_t sets;
+  };
+  const Geometry geometries[] = {
+      {4 * kSector, 4, 1},
+      {8 * kSector, 2, 4},
+      {1024 * kSector, 4, 256},
+      {a100.l2_bytes, a100.l2_ways, 81920},
+  };
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(testing::Message() << "ways=" << g.ways << " sets=" << g.sets);
+    DeviceSpec spec = a100;
+    spec.l2_bytes = g.capacity;
+    spec.l2_ways = g.ways;
+    MemoryModel warp(spec);
+    MemoryModel per_lane(spec);
+    MemoryModel reference(spec);
+    reference.set_reference_path(true);
+    MemoryModel* const models[] = {&warp, &per_lane, &reference};
+    for (MemoryModel* m : models) {
+      m->begin_kernel();
+    }
+    ASSERT_EQ(CacheModel(g.capacity, g.ways).sets(), g.sets);
+
+    Rng rng(9100 + g.ways);
+    const std::uint64_t window = std::min<std::uint64_t>(g.sets, 8);
+    const std::uint64_t first_set = rng.uniform_index(g.sets);
+    // 64 tags of headroom keep descending lanes above address 0.
+    auto pick_sector = [&] {
+      return (first_set + rng.uniform_index(window)) % g.sets +
+             (64 + rng.uniform_index(g.ways + 2)) * g.sets;
+    };
+    std::uint64_t adjacent = 0, apart = 0, straddling = 0, written_back = 0;
+    for (int i = 0; i < 6000; ++i) {
+      SCOPED_TRACE(testing::Message() << "instruction " << i);
+      const std::uint64_t roll = rng.uniform_index(100);
+      if (roll == 0) {
+        for (MemoryModel* m : models) {
+          m->invalidate_cache();
+        }
+        continue;
+      }
+      if (roll == 1) {
+        const TrafficCounters ended = warp.end_kernel();
+        ASSERT_TRUE(same_traffic(ended, per_lane.end_kernel()));
+        ASSERT_TRUE(same_traffic(ended, reference.end_kernel()));
+        written_back += ended.dram_write_bytes;
+        for (MemoryModel* m : models) {
+          m->begin_kernel();
+        }
+        continue;
+      }
+      const unsigned size = 1u << rng.uniform_index(5);  // 1..16 bytes
+      if (roll < 10) {
+        const std::uint64_t base =
+            pick_sector() * kSector + rng.uniform_index(kSector);
+        const auto mask = static_cast<LaneMask>(rng.next_u64());
+        const bool write = rng.uniform_index(2) == 0;
+        for (MemoryModel* m : models) {
+          m->contiguous_access(base, size, mask, write);
+        }
+        ASSERT_TRUE(same_traffic(warp.counters(), per_lane.counters()));
+        ASSERT_TRUE(same_traffic(reference.counters(), per_lane.counters()));
+        continue;
+      }
+
+      LaneMask mask = 0;
+      switch (rng.uniform_index(4)) {
+        case 0:
+          mask = rng.uniform_index(8) == 0 ? 0 : kFullMask;
+          break;
+        case 1:
+          mask = LaneMask{1} << rng.uniform_index(kWarpSize);
+          break;
+        default:  // holes
+          mask = static_cast<LaneMask>(rng.next_u64());
+          break;
+      }
+      Lanes<std::uint64_t> addr;
+      const std::uint64_t pattern = rng.uniform_index(4);
+      std::uint64_t cursor = pick_sector() * kSector + rng.uniform_index(kSector);
+      const std::uint64_t pool[] = {cursor, pick_sector() * kSector + 24,
+                                    pick_sector() * kSector + 3};
+      for (unsigned l = 0; l < kWarpSize; ++l) {
+        if (pattern == 0) {  // ascending words, some repeated
+          addr[l] = cursor;
+          cursor += size * rng.uniform_index(3);
+        } else if (pattern == 1) {  // descending words, some repeated
+          addr[l] = cursor;
+          cursor -= size * rng.uniform_index(3);
+        } else if (pattern == 2) {  // a few words, repeated apart
+          addr[l] = pool[rng.uniform_index(3)];
+        } else {  // anywhere in the window
+          addr[l] = pick_sector() * kSector + rng.uniform_index(kSector);
+        }
+      }
+      // What the lanes repeat, sector by sector in lane order.
+      std::vector<std::uint64_t> seen;
+      for (unsigned l = 0; l < kWarpSize; ++l) {
+        if (!lane_active(mask, l)) {
+          continue;
+        }
+        const std::uint64_t first = addr[l] / kSector;
+        const std::uint64_t last = (addr[l] + size - 1) / kSector;
+        straddling += last != first;
+        for (std::uint64_t s = first; s <= last; ++s) {
+          if (!seen.empty() && seen.back() == s) {
+            ++adjacent;
+          } else if (std::find(seen.begin(), seen.end(), s) != seen.end()) {
+            ++apart;
+          }
+          seen.push_back(s);
+        }
+      }
+
+      warp.warp_atomic_access(addr, size, mask);
+      for (unsigned l = 0; l < kWarpSize; ++l) {
+        if (lane_active(mask, l)) {
+          per_lane.atomic_access(addr[l], size);
+        }
+      }
+      reference.warp_atomic_access(addr, size, mask);
+      ASSERT_TRUE(same_traffic(warp.counters(), per_lane.counters()));
+      ASSERT_TRUE(same_traffic(reference.counters(), per_lane.counters()));
+    }
+    const TrafficCounters ended = warp.end_kernel();
+    expect_same_traffic(ended, per_lane.end_kernel());
+    expect_same_traffic(ended, reference.end_kernel());
+    written_back += ended.dram_write_bytes;
+    // The instructions exercised what they are meant to.
+    EXPECT_GT(adjacent, 0u);
+    EXPECT_GT(apart, 0u);
+    EXPECT_GT(straddling, 0u);
+    EXPECT_GT(written_back, 0u);
+  }
+}
+
 TEST(MemoryModel, AllocatesL2OnFirstKernel) {
   MemoryModel mem(make_a100());
   EXPECT_FALSE(mem.cache_allocated());

@@ -1,7 +1,12 @@
 // Tests for warp-level primitives: masks, lane registers, the deterministic
-// tree reduction, and the segmented scan.
+// tree reduction, and the segmented scan (unsigned running sums and
+// floating-point networks alike held to the network's bits).
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "gpusim/lanes.hpp"
@@ -145,6 +150,108 @@ TEST(SegmentedScan, InactiveLanesContributeZero) {
   const auto incl = warp_segmented_inclusive_sum(x, 1u, first_lanes(2));
   EXPECT_DOUBLE_EQ(incl[1], 14.0);
   EXPECT_DOUBLE_EQ(incl[31], 14.0);  // inactive lanes appended nothing
+}
+
+/// The segmented Hillis–Steele network, written out here so the library's
+/// scan is held to its bits whichever way the library computes them.
+template <typename T>
+Lanes<T> network_scan(const Lanes<T>& x, LaneMask heads, LaneMask active) {
+  Lanes<T> out;
+  unsigned seg[kWarpSize];
+  unsigned current = 0;
+  for (unsigned i = 0; i < kWarpSize; ++i) {
+    out[i] = lane_active(active, i) ? x[i] : T{};
+    if (lane_active(heads, i)) current = i;
+    seg[i] = current;
+  }
+  for (unsigned d = 1; d < kWarpSize; d *= 2) {
+    const Lanes<T> prev = out;
+    for (unsigned i = d; i < kWarpSize; ++i) {
+      if (seg[i] <= i - d) out[i] = prev[i - d] + prev[i];
+    }
+  }
+  return out;
+}
+
+/// Random head flags: segments of a few lanes.
+LaneMask random_heads(Rng& rng) {
+  LaneMask heads = 0;
+  for (unsigned i = 0; i < kWarpSize; ++i) {
+    if (rng.uniform_index(4) == 0) heads |= LaneMask{1} << i;
+  }
+  return heads;
+}
+
+/// A random active mask: full, the first n lanes (n = 0 included) or holed.
+LaneMask random_active(Rng& rng) {
+  switch (rng.uniform_index(4)) {
+    case 0:
+      return kFullMask;
+    case 1:
+      return first_lanes(static_cast<unsigned>(rng.uniform_index(kWarpSize + 1)));
+    default:
+      return static_cast<LaneMask>(rng.next_u64());
+  }
+}
+
+template <typename T>
+void expect_running_sum_matches_network(std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "bytes=" << sizeof(T));
+  Rng rng(seed);
+  const T top = std::numeric_limits<T>::max();
+  unsigned wrapped = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    Lanes<T> x;
+    for (unsigned i = 0; i < kWarpSize; ++i) {
+      // Mostly values near the maximum, so that sums wrap around.
+      x[i] = rng.uniform_index(4) == 0 ? static_cast<T>(rng.uniform_index(100))
+                                       : static_cast<T>(top - rng.uniform_index(100));
+    }
+    const LaneMask heads = random_heads(rng);
+    const LaneMask active = random_active(rng);
+    const Lanes<T> scan = warp_segmented_inclusive_sum(x, heads, active);
+    const Lanes<T> net = network_scan(x, heads, active);
+    for (unsigned i = 0; i < kWarpSize; ++i) {
+      ASSERT_EQ(scan[i], net[i]) << "trial " << trial << " lane " << i;
+      if (i > 0 && !lane_active(heads, i) && lane_active(active, i) &&
+          scan[i] < x[i]) {
+        ++wrapped;
+      }
+    }
+  }
+  EXPECT_GT(wrapped, 0u);  // the sums did wrap
+}
+
+TEST(SegmentedScan, UnsignedRunningSumMatchesNetwork) {
+  expect_running_sum_matches_network<std::uint16_t>(31);
+  expect_running_sum_matches_network<std::uint32_t>(32);
+  expect_running_sum_matches_network<std::uint64_t>(33);
+}
+
+TEST(SegmentedScan, DoubleLanesKeepTheNetworkBits) {
+  // Floating-point lanes must take the network: a running sum rounds
+  // differently for some inputs, which the second check makes sure of.
+  Rng rng(34);
+  bool running_sum_differs = false;
+  for (int trial = 0; trial < 500; ++trial) {
+    Lanes<double> x;
+    for (unsigned i = 0; i < kWarpSize; ++i) x[i] = rng.uniform(-1.0, 1.0);
+    // A head-free first quarter: long sums round in more ways.
+    const LaneMask heads = random_heads(rng) & ~LaneMask{0xff};
+    const LaneMask active = random_active(rng);
+    const Lanes<double> scan = warp_segmented_inclusive_sum(x, heads, active);
+    const Lanes<double> net = network_scan(x, heads, active);
+    double running = 0.0;
+    for (unsigned i = 0; i < kWarpSize; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(scan[i]),
+                std::bit_cast<std::uint64_t>(net[i]))
+          << "trial " << trial << " lane " << i;
+      const double xi = lane_active(active, i) ? x[i] : 0.0;
+      running = (i == 0 || lane_active(heads, i)) ? xi : running + xi;
+      running_sum_differs = running_sum_differs || running != net[i];
+    }
+  }
+  EXPECT_TRUE(running_sum_differs);
 }
 
 }  // namespace
