@@ -8,8 +8,8 @@
 //     SELL-C-32 container;
 //   - the batched fused rsformat kernel at K=9 (the optimizer's gradient
 //     batch shape) versus 9 looped single-RHS products;
-//   - the measurement-driven autotuner's chosen config per beam (trials from
-//     PROTONDOSE_TUNER_TRIALS; 0 pins the deterministic byte-model mode).
+//   - the measurement-driven autotuner's chosen config per beam (default
+//     trials).
 // All kernel timings are single-thread — the shape the paper's optimizer
 // inner loop issues.  Results land in bench_results/wallclock_fast_tier.csv
 // and BENCH_formats.json (schema_version 2, gated by
@@ -47,16 +47,6 @@ std::string fmt(double v, int prec = 3) {
   std::ostringstream os;
   os << std::setprecision(prec) << std::fixed << v;
   return os.str();
-}
-
-const char* format_name(DoseEngine::FastFormat f) {
-  switch (f) {
-    case DoseEngine::FastFormat::kRsFormat: return "rsformat";
-    case DoseEngine::FastFormat::kSellCs: return "sellcs";
-    case DoseEngine::FastFormat::kSellCsQ: return "sellcsq";
-    case DoseEngine::FastFormat::kAuto: return "auto";
-  }
-  return "?";
 }
 
 struct CaseResult {
@@ -103,8 +93,7 @@ int main() {
       "fused rsformat, autotuner",
       scale);
   const auto beams = pd::bench::load_beams(scale);
-  const pd::kernels::TuneOptions tune_opts =
-      pd::kernels::tune_options_from_env();
+  const pd::kernels::TuneOptions tune_opts;
 
   std::vector<CaseResult> results;
   for (const auto& beam : beams) {
@@ -156,11 +145,11 @@ int main() {
     r.us_sellcs =
         time_per_call([&] { engine.compute(x); }, kMinSeconds) * 1e6;
 
-    // Autotune (container grid + geometry; trials from env).  The chosen
-    // config is what EngineCache would pin for this plan.
+    // Autotune (container grid + geometry).  The chosen config is what
+    // EngineCache would pin for this plan.
     const pd::kernels::TunedConfig tuned =
         pd::kernels::autotune_fast_tier(engine, tune_opts);
-    r.tuned_format = format_name(tuned.format);
+    r.tuned_format = to_string(tuned.format);
     r.tuned_c = tuned.sell_c;
     r.tuned_sigma = tuned.sell_sigma;
     r.tuned_threads = tuned.fast_threads;

@@ -7,7 +7,10 @@
 // enforces it).  This bench records what that buys: dose products per second
 // for the native backend at 1/2/4 threads against gpusim functional-only,
 // plus the batched multi-scenario traversal (K=9, the robust-planning shape)
-// against K looped single products.  Results land in
+// against K looped single products.  The batched kernel is also timed at
+// widths 2, 4, 8, 9, 16 (its fixed-width paths) and 17 (its generic path),
+// in Half/Double and Single, with each width's median and quartiles over
+// interleaved rounds.  Results land in
 // bench_results/wallclock_native_backend.csv and BENCH_native.json.
 
 #include <fstream>
@@ -15,6 +18,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -31,6 +35,26 @@ using pd::kernels::DoseEngine;
 
 /// Shortest timed span per measurement (seconds).
 constexpr double kMinSeconds = 0.4;
+
+/// Batch widths timed in interleaved rounds, and the headline width.
+constexpr std::size_t kWidths[] = {2, 4, 8, 9, 16, 17};
+constexpr std::size_t kBatch = 9;
+constexpr std::size_t kRounds = 7;
+constexpr double kMinSecondsPerRound = 0.25;
+
+/// The precision modes the batch widths are timed in.
+const std::pair<const char*, DoseEngine::Mode> kBatchModes[] = {
+    {"half_double", DoseEngine::Mode::kHalfDouble},
+    {"single", DoseEngine::Mode::kSingle}};
+
+/// One configuration of the interleaved batch rounds: a K-wide
+/// compute_batch, or (looped) K single products, in kBatchModes[mode].
+struct BatchConfig {
+  std::size_t mode = 0;
+  std::size_t k = 0;
+  bool looped = false;
+  pd::bench::Spread spread;  ///< Seconds per call.
+};
 
 struct ModeResult {
   std::string name;
@@ -58,10 +82,10 @@ int main() {
   const std::vector<double> x =
       pd::sparse::random_vector(rng, beam.matrix.num_cols, 0.5, 2.0);
 
-  auto make_engine = [&](DoseEngine::Backend backend) {
+  auto make_engine = [&](DoseEngine::Backend backend,
+                         DoseEngine::Mode mode = DoseEngine::Mode::kHalfDouble) {
     return DoseEngine(pd::sparse::CsrF64(beam.matrix), pd::gpusim::make_a100(),
-                      DoseEngine::Mode::kHalfDouble,
-                      pd::kernels::kDefaultVectorTpb,
+                      mode, pd::kernels::kDefaultVectorTpb,
                       pd::kernels::SpmvFamily::kVector, backend);
   };
 
@@ -85,24 +109,54 @@ int main() {
     r.speedup_vs_functional = functional_s / r.seconds_per_product;
   }
 
-  // Batched multi-scenario shape: K=9 weight vectors (nominal + 8 error
-  // scenarios), one stacked traversal vs K looped products, both native.
-  constexpr std::size_t kBatch = 9;
+  // Batched multi-scenario shape: K weight vectors (nominal + error
+  // scenarios), one stacked traversal, native on one thread.  The last
+  // configuration times K=9 Half/Double as K looped products instead.
+  const std::size_t spots = beam.matrix.num_cols;
   const std::vector<double> batch_weights = pd::sparse::random_vector(
-      rng, kBatch * beam.matrix.num_cols, 0.5, 2.0);
-  DoseEngine batch_engine = make_engine(DoseEngine::Backend::kNative);
-  batch_engine.set_native_threads(1);
-  const double batched_s = time_per_call(
-      [&] { batch_engine.compute_batch(batch_weights, kBatch); }, kMinSeconds);
-  const double looped_s = time_per_call(
-      [&] {
-        for (std::size_t j = 0; j < kBatch; ++j) {
-          batch_engine.compute(std::span<const double>(
-              batch_weights.data() + j * beam.matrix.num_cols,
-              beam.matrix.num_cols));
+      rng, kWidths[std::size(kWidths) - 1] * spots, 0.5, 2.0);
+  std::vector<DoseEngine> batch_engines;
+  std::vector<BatchConfig> configs;
+  for (std::size_t m = 0; m < std::size(kBatchModes); ++m) {
+    batch_engines.push_back(
+        make_engine(DoseEngine::Backend::kNative, kBatchModes[m].second));
+    batch_engines.back().set_native_threads(1);
+    for (const std::size_t k : kWidths) {
+      configs.push_back({m, k, false, {}});
+    }
+  }
+  const std::size_t widths_end = configs.size();
+  configs.push_back({0, kBatch, true, {}});
+  const auto samples = pd::bench::interleaved_rounds(
+      configs.size(), kRounds, [&](std::size_t i) {
+        const BatchConfig& c = configs[i];
+        DoseEngine& engine = batch_engines[c.mode];
+        if (c.looped) {
+          return time_per_call(
+              [&] {
+                for (std::size_t j = 0; j < c.k; ++j) {
+                  engine.compute(std::span<const double>(
+                      batch_weights.data() + j * spots, spots));
+                }
+              },
+              kMinSecondsPerRound);
         }
-      },
-      kMinSeconds);
+        return time_per_call(
+            [&] {
+              engine.compute_batch(
+                  std::span<const double>(batch_weights.data(), c.k * spots),
+                  c.k);
+            },
+            kMinSecondsPerRound);
+      });
+  double batched_s = 0.0;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    configs[i].spread = pd::bench::spread_of(samples[i]);
+    if (i < widths_end && configs[i].mode == 0 && configs[i].k == kBatch) {
+      batched_s = configs[i].spread.median;
+    }
+  }
+  const double looped_s = configs.back().spread.median;
   const double batched_speedup = looped_s / batched_s;
 
   pd::TextTable table({"backend", "ms / product", "speedup vs functional"});
@@ -111,7 +165,20 @@ int main() {
                    fmt(r.speedup_vs_functional, 2) + "x"});
   }
   std::cout << table.str() << "\n";
-  std::cout << "batched K=" << kBatch << " (native, 1 thread): "
+  pd::TextTable widths({"mode", "K", "ms / batch (median)", "IQR/median",
+                        "us / product"});
+  for (std::size_t i = 0; i < widths_end; ++i) {
+    const BatchConfig& c = configs[i];
+    widths.add_row({kBatchModes[c.mode].first, std::to_string(c.k),
+                    fmt(c.spread.median * 1e3),
+                    fmt(c.spread.iqr_over_median(), 3),
+                    fmt(c.spread.median / static_cast<double>(c.k) * 1e6, 1)});
+  }
+  std::cout << widths.str() << kRounds << " interleaved rounds per width, "
+            << "each at least " << kMinSecondsPerRound << " s (native, 1 "
+            << "thread).\n";
+  std::cout << "batched K=" << kBatch << " (" << kBatchModes[0].first
+            << "): "
             << fmt(batched_s * 1e3) << " ms vs looped "
             << fmt(looped_s * 1e3) << " ms -> " << fmt(batched_speedup, 2)
             << "x (one matrix traversal for all scenarios)\n";
@@ -153,7 +220,21 @@ int main() {
   json << "  \"batch\": {\"k\": " << kBatch
        << ", \"us_batched\": " << fmt(batched_s * 1e6, 1)
        << ", \"us_looped\": " << fmt(looped_s * 1e6, 1)
-       << ", \"batched_speedup\": " << fmt(batched_speedup, 3) << "}\n";
+       << ", \"batched_speedup\": " << fmt(batched_speedup, 3) << "},\n";
+  json << "  \"min_seconds_per_repeat\": " << kMinSecondsPerRound << ",\n";
+  json << "  \"batch_widths\": [\n";
+  for (std::size_t i = 0; i < widths_end; ++i) {
+    const BatchConfig& c = configs[i];
+    json << "    {\"mode\": \"" << kBatchModes[c.mode].first
+         << "\", \"k\": " << c.k
+         << ", \"repeats\": " << c.spread.repeats
+         << ", \"us_batched\": " << fmt(c.spread.median * 1e6, 1)
+         << ", \"us_q1\": " << fmt(c.spread.q1 * 1e6, 1)
+         << ", \"us_q3\": " << fmt(c.spread.q3 * 1e6, 1)
+         << ", \"iqr_over_median\": " << fmt(c.spread.iqr_over_median(), 4)
+         << "}" << (i + 1 < widths_end ? "," : "") << "\n";
+  }
+  json << "  ]\n";
   json << "}\n";
   std::cout << "wrote BENCH_native.json\n";
   return 0;

@@ -30,8 +30,14 @@ constexpr bool lane_active(LaneMask m, unsigned lane) {
   return (m >> lane) & 1u;
 }
 
+/// Active-lane count, as a SWAR bit count: the library targets baseline
+/// x86-64, which has no POPCNT, so __builtin_popcount would be a call into
+/// libgcc on every simulated warp instruction; this stays inline.
 constexpr unsigned popcount_mask(LaneMask m) {
-  return static_cast<unsigned>(__builtin_popcount(m));
+  m = m - ((m >> 1) & 0x55555555u);
+  m = (m & 0x33333333u) + ((m >> 2) & 0x33333333u);
+  m = (m + (m >> 4)) & 0x0f0f0f0fu;
+  return (m * 0x01010101u) >> 24;
 }
 
 /// Mask with the first n lanes active.

@@ -75,6 +75,17 @@ class DoseEngine {
                 ///< kRsFormat.  fast_format() reports the resolved format.
   };
 
+  /// The format's name as the CLI and the benches spell it.
+  friend constexpr const char* to_string(FastFormat format) {
+    switch (format) {
+      case FastFormat::kRsFormat: return "rsformat";
+      case FastFormat::kSellCs: return "sellcs";
+      case FastFormat::kSellCsQ: return "sellcsq";
+      case FastFormat::kAuto: return "auto";
+    }
+    return "?";
+  }
+
   /// Accuracy contract for compute_delta / apply_delta
   /// (docs/delta_engine.md) — the delta analogue of the tier axis.
   enum class DeltaMode {

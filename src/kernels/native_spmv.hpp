@@ -153,108 +153,11 @@ inline Acc native_row_product(const MatV* values, const IdxT* col_idx,
   return native_reduce_tail(&acc[0], gpusim::kWarpSize);
 }
 
-#if defined(PD_X86_DISPATCH)
-/// AVX2 forms of the batched inner loops.  Each vector lane performs the
-/// scalar code's exact mul-then-add (separate _mm256_mul / _mm256_add — never
-/// an FMA, honoring the -ffp-contract=off reproducibility contract), and
-/// column j's accumulator sees the same operation sequence as the scalar
-/// loop, so the bits are identical; only how many columns advance per
-/// instruction changes.  The baseline build stays SSE2, hence the runtime
-/// dispatch mirroring half_chunk_to_float_f16c.
-__attribute__((target("avx2"))) inline void batch_madd_avx2(
-    double* __restrict a, double v, const double* __restrict xc,
-    std::size_t batch) {
-  const __m256d vv = _mm256_set1_pd(v);
-  std::size_t j = 0;
-  for (; j + 4 <= batch; j += 4) {
-    const __m256d prod = _mm256_mul_pd(vv, _mm256_loadu_pd(xc + j));
-    _mm256_storeu_pd(a + j, _mm256_add_pd(_mm256_loadu_pd(a + j), prod));
-  }
-  for (; j < batch; ++j) {
-    a[j] = a[j] + v * xc[j];
-  }
-}
-
-__attribute__((target("avx2"))) inline void batch_madd_avx2(
-    float* __restrict a, float v, const float* __restrict xc,
-    std::size_t batch) {
-  const __m256 vv = _mm256_set1_ps(v);
-  std::size_t j = 0;
-  for (; j + 8 <= batch; j += 8) {
-    const __m256 prod = _mm256_mul_ps(vv, _mm256_loadu_ps(xc + j));
-    _mm256_storeu_ps(a + j, _mm256_add_ps(_mm256_loadu_ps(a + j), prod));
-  }
-  for (; j < batch; ++j) {
-    a[j] = a[j] + v * xc[j];
-  }
-}
-
-__attribute__((target("avx2"))) inline void batch_add_avx2(
-    double* __restrict a, const double* __restrict b, std::size_t batch) {
-  std::size_t j = 0;
-  for (; j + 4 <= batch; j += 4) {
-    _mm256_storeu_pd(
-        a + j, _mm256_add_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j)));
-  }
-  for (; j < batch; ++j) {
-    a[j] = a[j] + b[j];
-  }
-}
-
-__attribute__((target("avx2"))) inline void batch_add_avx2(
-    float* __restrict a, const float* __restrict b, std::size_t batch) {
-  std::size_t j = 0;
-  for (; j + 8 <= batch; j += 8) {
-    _mm256_storeu_ps(
-        a + j, _mm256_add_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j)));
-  }
-  for (; j < batch; ++j) {
-    a[j] = a[j] + b[j];
-  }
-}
-
-__attribute__((target("avx2"))) inline void batch_first_madd_avx2(
-    double* __restrict a, double v, const double* __restrict xc,
-    std::size_t batch) {
-  const __m256d vv = _mm256_set1_pd(v);
-  std::size_t j = 0;
-  for (; j + 4 <= batch; j += 4) {
-    const __m256d prod = _mm256_mul_pd(vv, _mm256_loadu_pd(xc + j));
-    _mm256_storeu_pd(a + j, _mm256_add_pd(_mm256_setzero_pd(), prod));
-  }
-  for (; j < batch; ++j) {
-    a[j] = 0.0 + v * xc[j];
-  }
-}
-
-__attribute__((target("avx2"))) inline void batch_first_madd_avx2(
-    float* __restrict a, float v, const float* __restrict xc,
-    std::size_t batch) {
-  const __m256 vv = _mm256_set1_ps(v);
-  std::size_t j = 0;
-  for (; j + 8 <= batch; j += 8) {
-    const __m256 prod = _mm256_mul_ps(vv, _mm256_loadu_ps(xc + j));
-    _mm256_storeu_ps(a + j, _mm256_add_ps(_mm256_setzero_ps(), prod));
-  }
-  for (; j < batch; ++j) {
-    a[j] = 0.0f + v * xc[j];
-  }
-}
-#endif
-
 /// a[j] = a[j] + v * xc[j] across the batch block (one non-zero feeding all
-/// right-hand sides).  AVX2 when the CPU has it; plain loop otherwise.
+/// right-hand sides).
 template <typename Acc>
 inline void batch_madd(Acc* __restrict a, Acc v, const Acc* __restrict xc,
                        std::size_t batch) {
-#if defined(PD_X86_DISPATCH)
-  if constexpr (std::is_same_v<Acc, double> || std::is_same_v<Acc, float>) {
-    if (kHaveAvx2) {
-      batch_madd_avx2(a, v, xc, batch);
-      return;
-    }
-  }
-#endif
   for (std::size_t j = 0; j < batch; ++j) {
     a[j] = a[j] + v * xc[j];
   }
@@ -265,14 +168,6 @@ inline void batch_madd(Acc* __restrict a, Acc v, const Acc* __restrict xc,
 template <typename Acc>
 inline void batch_first_madd(Acc* __restrict a, Acc v,
                              const Acc* __restrict xc, std::size_t batch) {
-#if defined(PD_X86_DISPATCH)
-  if constexpr (std::is_same_v<Acc, double> || std::is_same_v<Acc, float>) {
-    if (kHaveAvx2) {
-      batch_first_madd_avx2(a, v, xc, batch);
-      return;
-    }
-  }
-#endif
   for (std::size_t j = 0; j < batch; ++j) {
     a[j] = Acc{} + v * xc[j];
   }
@@ -282,14 +177,6 @@ inline void batch_first_madd(Acc* __restrict a, Acc v,
 template <typename Acc>
 inline void batch_add(Acc* __restrict a, const Acc* __restrict b,
                       std::size_t batch) {
-#if defined(PD_X86_DISPATCH)
-  if constexpr (std::is_same_v<Acc, double> || std::is_same_v<Acc, float>) {
-    if (kHaveAvx2) {
-      batch_add_avx2(a, b, batch);
-      return;
-    }
-  }
-#endif
   for (std::size_t j = 0; j < batch; ++j) {
     a[j] = a[j] + b[j];
   }
@@ -350,38 +237,6 @@ inline void native_row_product_batch_lanes(const MatV* values,
   }
 }
 
-#if defined(PD_X86_DISPATCH)
-/// AVX2-enabled clone of native_row_product_batch_lanes (the target attribute
-/// only widens codegen: vmulpd/vaddpd stay separate — AVX2 does not imply FMA
-/// and -ffp-contract=off holds — so every per-element rounding is identical
-/// to the baseline body).
-template <unsigned B, typename Acc, typename MatV, typename IdxT>
-__attribute__((target("avx2"))) inline void native_row_product_batch_lanes_avx2(
-    const MatV* values, const IdxT* col_idx, const Acc* x_int,
-    std::uint64_t start, std::uint64_t end, Acc* acc) {
-  for (unsigned lane = 0; lane < gpusim::kWarpSize; ++lane) {
-    std::uint64_t k = start + lane;
-    const Acc v0 = convert_value<Acc>(values[k]);
-    const Acc* xc0 = x_int + static_cast<std::size_t>(col_idx[k]) * B;
-    Acc a[B];
-    for (unsigned j = 0; j < B; ++j) {
-      a[j] = Acc{} + v0 * xc0[j];
-    }
-    for (k += gpusim::kWarpSize; k < end; k += gpusim::kWarpSize) {
-      const Acc v = convert_value<Acc>(values[k]);
-      const Acc* xc = x_int + static_cast<std::size_t>(col_idx[k]) * B;
-      for (unsigned j = 0; j < B; ++j) {
-        a[j] += v * xc[j];
-      }
-    }
-    Acc* lane_acc = acc + lane * B;
-    for (unsigned j = 0; j < B; ++j) {
-      lane_acc[j] = a[j];
-    }
-  }
-}
-#endif  // PD_X86_DISPATCH
-
 /// Dispatch a long row to the fixed-width lane-outer kernel when the batch
 /// width has an instantiation; false means the caller runs the generic path.
 template <typename Acc, typename MatV, typename IdxT>
@@ -391,16 +246,8 @@ inline bool native_row_product_batch_fixed(const MatV* values,
                                            std::uint64_t start,
                                            std::uint64_t end, Acc* acc) {
   const auto run = [&](auto width) {
-    constexpr unsigned kB = decltype(width)::value;
-#if defined(PD_X86_DISPATCH)
-    if (kHaveAvx2) {
-      native_row_product_batch_lanes_avx2<kB>(values, col_idx, x_int, start,
-                                              end, acc);
-      return;
-    }
-#endif
-    native_row_product_batch_lanes<kB>(values, col_idx, x_int, start, end,
-                                       acc);
+    native_row_product_batch_lanes<decltype(width)::value>(
+        values, col_idx, x_int, start, end, acc);
   };
   switch (batch) {
     case 2: run(std::integral_constant<unsigned, 2>{}); return true;
@@ -430,14 +277,17 @@ inline bool native_row_product_batch_fixed(const MatV* values,
 /// entry for matrix column c at `x_int[c*batch + j]` — so one non-zero's
 /// `batch` reads are contiguous.  `acc` is caller-provided scratch of
 /// kWarpSize*batch accumulators in lane-major layout (lane l's partials at
-/// `acc[l*batch + j]`, so the per-non-zero batch FMAs are contiguous too;
-/// lanes this row does not touch are never read, so stale contents are
-/// fine); `out` receives the `batch` row results.
+/// `acc[l*batch + j]`, so the per-non-zero batch multiply-adds are
+/// contiguous too; lanes this row does not touch are never read, so stale
+/// contents are fine); `out` receives the `batch` row results.
+///
+/// This is the kernel's only body.  native_row_product_batch runs it as
+/// compiled for the baseline ISA or inside native_row_product_batch_avx2.
 template <typename Acc, typename MatV, typename IdxT>
-inline void native_row_product_batch(const MatV* values, const IdxT* col_idx,
-                                     const Acc* x_int, std::size_t batch,
-                                     std::uint64_t start, std::uint64_t end,
-                                     Acc* acc, Acc* out) {
+[[gnu::always_inline]] inline void native_row_product_batch_body(
+    const MatV* values, const IdxT* col_idx, const Acc* x_int,
+    std::size_t batch, std::uint64_t start, std::uint64_t end, Acc* acc,
+    Acc* out) {
   const std::uint64_t nnz = end - start;
   if (nnz == 0) {
     for (std::size_t j = 0; j < batch; ++j) {
@@ -488,6 +338,42 @@ inline void native_row_product_batch(const MatV* values, const IdxT* col_idx,
   for (std::size_t j = 0; j < batch; ++j) {
     out[j] = acc[j];
   }
+}
+
+#if defined(PD_X86_DISPATCH)
+/// native_row_product_batch_body compiled for AVX2.  `flatten` inlines the
+/// body and every helper it calls, so the compiler widens the batch loops to
+/// 256-bit vectors.  Each column still gets a separate IEEE multiply, then
+/// an add: AVX2 does not imply FMA and -ffp-contract=off holds, so every
+/// rounding is the baseline body's.  The F16C converter stays a call,
+/// because flatten skips callees whose target is not a subset of AVX2.
+template <typename Acc, typename MatV, typename IdxT>
+__attribute__((target("avx2"), flatten)) inline void
+native_row_product_batch_avx2(const MatV* values, const IdxT* col_idx,
+                              const Acc* x_int, std::size_t batch,
+                              std::uint64_t start, std::uint64_t end,
+                              Acc* acc, Acc* out) {
+  native_row_product_batch_body(values, col_idx, x_int, batch, start, end,
+                                acc, out);
+}
+#endif
+
+/// One batched row (native_row_product_batch_body) on the widest ISA the CPU
+/// has; the bits do not depend on which one runs.
+template <typename Acc, typename MatV, typename IdxT>
+inline void native_row_product_batch(const MatV* values, const IdxT* col_idx,
+                                     const Acc* x_int, std::size_t batch,
+                                     std::uint64_t start, std::uint64_t end,
+                                     Acc* acc, Acc* out) {
+#if defined(PD_X86_DISPATCH)
+  if (kHaveAvx2) {
+    native_row_product_batch_avx2(values, col_idx, x_int, batch, start, end,
+                                  acc, out);
+    return;
+  }
+#endif
+  native_row_product_batch_body(values, col_idx, x_int, batch, start, end,
+                                acc, out);
 }
 
 /// One classical-kernel row: element i of the row lands in sub-accumulator

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <iterator>
 #include <limits>
-#include <numeric>
-#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,8 +16,7 @@ namespace {
 
 using FastFormat = DoseEngine::FastFormat;
 
-// Deterministic tie order when streamed bytes match: rsformat (no padding,
-// no permutation) before quantized SELL before float SELL.
+// The tie order of fast_candidate_order.
 int format_rank(FastFormat f) {
   switch (f) {
     case FastFormat::kRsFormat:
@@ -31,18 +28,15 @@ int format_rank(FastFormat f) {
   }
 }
 
-bool model_order(const TuneCandidate& a, const TuneCandidate& b) {
-  if (a.streamed_bytes != b.streamed_bytes) {
-    return a.streamed_bytes < b.streamed_bytes;
-  }
-  if (format_rank(a.format) != format_rank(b.format)) {
-    return format_rank(a.format) < format_rank(b.format);
-  }
-  if (a.sell_c != b.sell_c) {
-    return a.sell_c < b.sell_c;
-  }
-  return a.sell_sigma < b.sell_sigma;
-}
+// The candidate grid: SELL-C-σ chunk heights and sort windows (σ == 0 means
+// "all rows", resolved to the row count rounded up to a multiple of C).
+constexpr std::uint32_t kChunkHeights[] = {8, 16, 32, 64};
+constexpr std::uint32_t kSortWindows[] = {256, 1024, 4096, 0};
+// Native thread counts measured for the winning format (0 = all hardware
+// threads); the first is the deterministic default.
+constexpr unsigned kThreadCandidates[] = {1, 0};
+// How many model-ranked finalists get measured (trials > 0).
+constexpr std::size_t kMeasureFinalists = 3;
 
 std::uint32_t resolve_rows_sigma(std::uint64_t rows, std::uint32_t C) {
   const std::uint64_t up =
@@ -82,17 +76,17 @@ constexpr double kHysteresis = 0.10;
 
 }  // namespace
 
-TuneOptions tune_options_from_env() {
-  TuneOptions opts;
-  if (const char* env = std::getenv("PROTONDOSE_TUNER_TRIALS")) {
-    try {
-      opts.trials = static_cast<unsigned>(std::stoul(env));
-    } catch (...) {
-      throw pd::Error(std::string("PROTONDOSE_TUNER_TRIALS: not a number: ") +
-                      env);
-    }
+bool fast_candidate_order(const TuneCandidate& a, const TuneCandidate& b) {
+  if (a.streamed_bytes != b.streamed_bytes) {
+    return a.streamed_bytes < b.streamed_bytes;
   }
-  return opts;
+  if (format_rank(a.format) != format_rank(b.format)) {
+    return format_rank(a.format) < format_rank(b.format);
+  }
+  if (a.sell_c != b.sell_c) {
+    return a.sell_c < b.sell_c;
+  }
+  return a.sell_sigma < b.sell_sigma;
 }
 
 std::uint64_t sellcs_model_bytes(const std::vector<std::uint32_t>& row_nnz,
@@ -128,8 +122,6 @@ std::uint64_t sellcs_model_bytes(const std::vector<std::uint32_t>& row_nnz,
 }
 
 TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
-  PD_CHECK_MSG(!opts.chunk_heights.empty() && !opts.sort_windows.empty(),
-               "autotune_fast_tier: empty candidate grid");
   // Snapshot fast-tier state; restored on every exit path.  The bitwise tier
   // owns none of this, so the tuner cannot perturb the oracle.
   struct Restore {
@@ -192,8 +184,8 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
     rs.streamed_bytes = rsformat_streamed_bytes(engine.fast_rs_matrix());
     candidates.push_back(rs);
   }
-  for (const std::uint32_t C : opts.chunk_heights) {
-    for (const std::uint32_t sigma_raw : opts.sort_windows) {
+  for (const std::uint32_t C : kChunkHeights) {
+    for (const std::uint32_t sigma_raw : kSortWindows) {
       const std::uint32_t sigma =
           sigma_raw == 0 ? resolve_rows_sigma(rows, C)
                          : (sigma_raw / C) * C;  // snap to a multiple of C
@@ -218,7 +210,7 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
   }
   PD_CHECK_MSG(!candidates.empty(),
                "autotune_fast_tier: no viable fast format for this matrix");
-  std::sort(candidates.begin(), candidates.end(), model_order);
+  std::sort(candidates.begin(), candidates.end(), fast_candidate_order);
   // Duplicate (format, C, σ) pairs can arise from σ snapping; keep the first.
   candidates.erase(
       std::unique(candidates.begin(), candidates.end(),
@@ -232,8 +224,7 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
   std::size_t winner = 0;
   if (opts.trials > 0) {
     const std::size_t finalists =
-        std::min<std::size_t>(std::max<std::size_t>(opts.measure_finalists, 1),
-                              candidates.size());
+        std::min(kMeasureFinalists, candidates.size());
     for (std::size_t i = 0; i < finalists; ++i) {
       candidates[i].us_per_product =
           measure_candidate(engine, candidates[i], opts.trials);
@@ -255,59 +246,20 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
   config.us_per_product = best.us_per_product;
 
   // --- Stage 3: native thread count for the winning format. ---
-  config.fast_threads =
-      opts.thread_candidates.empty() ? 1 : opts.thread_candidates.front();
-  if (opts.trials > 0 && opts.thread_candidates.size() > 1) {
-    if (best.format != FastFormat::kRsFormat) {
-      engine.set_fast_sell_config(best.sell_c, best.sell_sigma);
-    }
-    engine.set_tier(DoseEngine::Tier::kFast, best.format);
+  config.fast_threads = kThreadCandidates[0];
+  if (opts.trials > 0) {
     double incumbent_us = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < opts.thread_candidates.size(); ++i) {
-      TuneCandidate probe = best;
-      engine.set_fast_threads(opts.thread_candidates[i]);
-      const double us = measure_candidate(engine, probe, opts.trials);
+    for (std::size_t i = 0; i < std::size(kThreadCandidates); ++i) {
+      engine.set_fast_threads(kThreadCandidates[i]);
+      const double us = measure_candidate(engine, best, opts.trials);
       if (i == 0) {
         incumbent_us = us;
       } else if (us < incumbent_us * (1.0 - kHysteresis)) {
         incumbent_us = us;
-        config.fast_threads = opts.thread_candidates[i];
+        config.fast_threads = kThreadCandidates[i];
       }
     }
     config.us_per_product = incumbent_us;
-  }
-
-  // --- Stage 4: batch-width probe (fused rsformat only — the one kernel
-  // with a batched traversal). ---
-  config.batch_width = 1;
-  if (opts.trials > 0 && opts.probe_batch > 1 &&
-      best.format == FastFormat::kRsFormat) {
-    engine.set_fast_threads(config.fast_threads);
-    engine.set_tier(DoseEngine::Tier::kFast, FastFormat::kRsFormat);
-    const std::size_t K = opts.probe_batch;
-    const std::vector<double> weights(engine.num_spots() * K, 1.0);
-    const std::vector<double> x(engine.num_spots(), 1.0);
-    (void)engine.compute_batch(weights, K);
-    double batched_us = std::numeric_limits<double>::infinity();
-    double looped_us = std::numeric_limits<double>::infinity();
-    for (unsigned t = 0; t < opts.trials; ++t) {
-      auto start = std::chrono::steady_clock::now();
-      (void)engine.compute_batch(weights, K);
-      batched_us = std::min(
-          batched_us, std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-      start = std::chrono::steady_clock::now();
-      for (std::size_t j = 0; j < K; ++j) {
-        (void)engine.compute(x);
-      }
-      looped_us = std::min(
-          looped_us, std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-    }
-    config.batched_speedup = batched_us > 0.0 ? looped_us / batched_us : 0.0;
-    config.batch_width = config.batched_speedup > 1.0 ? K : 1;
   }
 
   config.candidates = std::move(candidates);

@@ -6,18 +6,19 @@
 //  * tune_block_size — the paper's Figure 4 experiment: sweep
 //    threads-per-block, measure each launch on the simulated device, pick
 //    the highest modeled GFLOP/s.
-//  * autotune_fast_tier — the fast tier's measurement-driven autotuner
-//    (fast-tier v2): enumerate candidate compressed containers (rsformat,
-//    float SELL-C-σ, quantized SELL-C-σ over C ∈ {8,16,32,64} ×
+//  * autotune_fast_tier — the fast tier's autotuner and its only format
+//    chooser: enumerate candidate compressed containers (rsformat, float
+//    SELL-C-σ, quantized SELL-C-σ over C ∈ {8,16,32,64} ×
 //    σ ∈ {256,1024,4096,rows}), rank them with a deterministic streamed-bytes
-//    model, then micro-benchmark the finalists (plus native thread count and
-//    batch width) on the actual matrix and return the winning TunedConfig.
-//    With trials == 0 the measurement stage is skipped and the byte-model
-//    winner is returned — fully deterministic, which is what the CI
-//    tuner-determinism check pins (PROTONDOSE_TUNER_TRIALS=0).  Measured
-//    runs keep a hysteresis margin: a candidate must beat a model-preferred
-//    rival by >10% wall-clock to override the deterministic order, so quiet
-//    machines reproduce the same config run to run.
+//    model (fast_candidate_order), then micro-benchmark the finalists (and
+//    the native thread count) on the actual matrix and return the winning
+//    TunedConfig.  With trials == 0 the measurement stages are skipped and
+//    the byte-model winner is returned — fully deterministic, which is what
+//    the CLI's `spmv --format auto`, the service's engine cache and the CI
+//    tuner-determinism check use.  Measured runs keep a hysteresis margin: a
+//    candidate must beat a model-preferred rival by >10% wall-clock to
+//    override the deterministic order, so quiet machines reproduce the same
+//    config run to run.
 //    The tuner only ever touches fast-tier state (engine tier/format/sell
 //    geometry are restored on exit) — Tier::kBitwise results stay
 //    byte-for-byte unchanged whether or not a config was tuned or applied.
@@ -55,64 +56,6 @@ struct TuneResult {
 /// The paper's sweep: 32..1024 threads per block.
 inline std::vector<unsigned> default_block_sizes() {
   return {32, 64, 128, 256, 512, 1024};
-}
-
-/// Fast-tier format recommendation (docs/fast_tier.md).  All fast kernels
-/// are DRAM-bound like everything else in this codebase, so the chooser
-/// picks whichever container streams fewer bytes per product.  Ties break
-/// toward rsformat first (no padding, no permutation scatter), then the
-/// quantized SELL-C-σ container before the float one (same layout, smaller
-/// error surface won't flip but the u16 values halve the slot traffic, so a
-/// tie means the float container wasted padding).  Callers feed it
-/// *_streamed_bytes() from the built containers — or estimates, before
-/// paying for the build; pass sellcsq_bytes == 0 when the quantized
-/// container is unavailable (e.g. > 65536 columns).
-struct FastFormatChoice {
-  std::uint64_t rsformat_bytes = 0;
-  std::uint64_t sellcs_bytes = 0;
-  std::uint64_t sellcsq_bytes = 0;  ///< 0 = quantized container unavailable.
-  DoseEngine::FastFormat format = DoseEngine::FastFormat::kRsFormat;
-
-  bool prefer_rsformat() const {
-    return format == DoseEngine::FastFormat::kRsFormat;
-  }
-
-  std::uint64_t chosen_bytes() const {
-    switch (format) {
-      case DoseEngine::FastFormat::kSellCs:
-        return sellcs_bytes;
-      case DoseEngine::FastFormat::kSellCsQ:
-        return sellcsq_bytes;
-      default:
-        return rsformat_bytes;
-    }
-  }
-
-  double ratio_vs(std::uint64_t csr_bytes) const {
-    return csr_bytes == 0 ? 0.0
-                          : static_cast<double>(chosen_bytes()) /
-                                static_cast<double>(csr_bytes);
-  }
-};
-
-inline FastFormatChoice choose_fast_format(std::uint64_t rsformat_bytes,
-                                           std::uint64_t sellcs_bytes,
-                                           std::uint64_t sellcsq_bytes = 0) {
-  FastFormatChoice c;
-  c.rsformat_bytes = rsformat_bytes;
-  c.sellcs_bytes = sellcs_bytes;
-  c.sellcsq_bytes = sellcsq_bytes;
-  c.format = DoseEngine::FastFormat::kRsFormat;
-  std::uint64_t best = rsformat_bytes;
-  // Strict < keeps the tie order rsformat > quantized > float.
-  if (sellcsq_bytes != 0 && sellcsq_bytes < best) {
-    c.format = DoseEngine::FastFormat::kSellCsQ;
-    best = sellcsq_bytes;
-  }
-  if (sellcs_bytes < best) {
-    c.format = DoseEngine::FastFormat::kSellCs;
-  }
-  return c;
 }
 
 /// `run_at(tpb)` must launch the kernel with that block size and return the
@@ -165,8 +108,6 @@ struct TunedConfig {
   std::uint32_t sell_c = 32;       ///< SELL chunk height (sell formats).
   std::uint32_t sell_sigma = 1024; ///< SELL sort window (resolved, > 0).
   unsigned fast_threads = 1;       ///< native threads for fast-tier computes.
-  std::size_t batch_width = 1;     ///< probed batch width (1 = unprobed/no win).
-  double batched_speedup = 0.0;    ///< measured K-batch speedup (0 = unprobed).
   std::uint64_t streamed_bytes = 0;
   double us_per_product = 0.0;     ///< winner's measured time (0 = model-only).
   unsigned trials = 0;             ///< measurement reps used (0 = model-only).
@@ -177,31 +118,22 @@ struct TunedConfig {
 /// compares across repeated tunes of the same matrix.
 inline bool same_decision(const TunedConfig& a, const TunedConfig& b) {
   return a.format == b.format && a.sell_c == b.sell_c &&
-         a.sell_sigma == b.sell_sigma && a.fast_threads == b.fast_threads &&
-         a.batch_width == b.batch_width;
+         a.sell_sigma == b.sell_sigma && a.fast_threads == b.fast_threads;
 }
 
 struct TuneOptions {
-  /// SELL-C-σ geometry sweep; σ == 0 means "all rows" (resolved to the row
-  /// count rounded up to a multiple of C).
-  std::vector<std::uint32_t> chunk_heights = {8, 16, 32, 64};
-  std::vector<std::uint32_t> sort_windows = {256, 1024, 4096, 0};
-  /// Native thread counts to measure for the winning format (0 = all
-  /// hardware threads).  The first entry is the deterministic default.
-  std::vector<unsigned> thread_candidates = {1, 0};
   /// Wall-clock reps per measured candidate; 0 = byte-model only, fully
   /// deterministic (the mode the CI determinism check pins).
   unsigned trials = 3;
-  /// How many model-ranked finalists get measured (trials > 0).
-  std::size_t measure_finalists = 3;
-  /// When > 1 and the winner is rsformat, probe compute_batch at this width
-  /// against looped single products and record the speedup.
-  std::size_t probe_batch = 1;
 };
 
-/// TuneOptions with `trials` overridden by the PROTONDOSE_TUNER_TRIALS
-/// environment variable when set (the CI determinism pin).
-TuneOptions tune_options_from_env();
+/// The byte model's ranking, and the fast tier's one format preference: all
+/// fast kernels are DRAM-bound, so fewer streamed bytes per product rank
+/// first.  Ties go to rsformat (no padding, no permutation scatter), then
+/// the quantized SELL-C-σ container (same layout as the float one, half the
+/// slot bytes, so a tie means the float container wasted padding), then
+/// float SELL-C-σ; then the smaller chunk height and sort window.
+bool fast_candidate_order(const TuneCandidate& a, const TuneCandidate& b);
 
 /// Streamed bytes of a hypothetical SELL-C-σ container with the given
 /// geometry, computed from row lengths alone (no build): replicates the

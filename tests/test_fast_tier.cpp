@@ -31,7 +31,6 @@
 #include "kernels/dose_engine.hpp"
 #include "kernels/rsformat_spmv.hpp"
 #include "kernels/sellcs_spmv.hpp"
-#include "kernels/tuner.hpp"
 #include "service/dose_service.hpp"
 #include "sparse/random.hpp"
 #include "sparse/reference.hpp"
@@ -210,13 +209,8 @@ TEST(FastTierCases, TunerPrefersTheSmallerContainer) {
   const std::uint64_t sell = sellcs_streamed_bytes(engine.fast_sell_matrix());
   const std::uint64_t sellq =
       sellcs_q_streamed_bytes(engine.fast_sellq_matrix());
-  const auto choice = choose_fast_format(rs, sell, sellq);
-  EXPECT_EQ(choice.prefer_rsformat(), rs <= sell && rs <= sellq);
-  EXPECT_EQ(choice.chosen_bytes(), std::min({rs, sell, sellq}));
   const std::uint64_t csr = engine.stored_matrix_as_double().bytes();
-  // The whole point of the tier: the chosen container streams fewer bytes.
-  EXPECT_LT(choice.ratio_vs(csr), 1.0);
-  // And the fused container meets the paper-case headline (<= 60% of
+  // The fused container meets the paper-case headline (<= 60% of
   // CSR-double traffic).
   EXPECT_LE(static_cast<double>(rs), 0.60 * static_cast<double>(csr));
   // The fast-tier-v2 headline: the quantized SELL container streams at most

@@ -30,6 +30,24 @@ TEST(LaneMaskOps, LaneActiveAndPopcount) {
   EXPECT_EQ(popcount_mask(kFullMask), 32u);
 }
 
+TEST(LaneMaskOps, PopcountMatchesBuiltin) {
+  static_assert(popcount_mask(0) == 0 && popcount_mask(kFullMask) == 32);
+  for (std::uint32_t m = 0; m <= 0xffffu; ++m) {
+    ASSERT_EQ(popcount_mask(m), static_cast<unsigned>(__builtin_popcount(m)))
+        << m;
+    const LaneMask high = m << 16;
+    ASSERT_EQ(popcount_mask(high),
+              static_cast<unsigned>(__builtin_popcount(high)))
+        << high;
+  }
+  Rng rng(31);
+  for (int i = 0; i < 100000; ++i) {
+    const auto m = static_cast<LaneMask>(rng.next_u64());
+    ASSERT_EQ(popcount_mask(m), static_cast<unsigned>(__builtin_popcount(m)))
+        << m;
+  }
+}
+
 TEST(Lanes, BroadcastAndLaneId) {
   const auto b = Lanes<double>::broadcast(3.5);
   for (unsigned i = 0; i < kWarpSize; ++i) {

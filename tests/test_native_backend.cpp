@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -23,6 +24,7 @@
 #include "gpusim/launch.hpp"
 #include "kernels/dose_engine.hpp"
 #include "kernels/multivector_csr.hpp"
+#include "kernels/native_spmv.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/random.hpp"
 
@@ -147,6 +149,95 @@ TEST(NativeBackend, ComputeBatchMatchesLoopedCompute) {
       }
     }
   }
+}
+
+/// The bits of a float or double.
+template <typename T>
+auto bits_of(T v) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return std::bit_cast<std::uint32_t>(v);
+  }
+}
+
+/// The batched row kernel is one body compiled twice: as is for the baseline
+/// ISA, and inside the AVX2 wrapper (run only where the CPU has AVX2).  Each
+/// must give every column the bits of a looped native_row_product, at every
+/// width (2-16 take the fixed-width lane-outer path, 1 and 17 the generic
+/// one) and for empty, short (<= 32) and long rows.  The accumulator scratch
+/// starts stale, as it does between rows, so a body that reads a lane before
+/// storing it fails.
+template <typename Acc, typename MatV>
+void expect_batch_bodies_match_looped_rows() {
+  Rng rng(2024);
+  const std::uint64_t row_lengths[] = {0, 1, 5, 31, 32, 33, 64, 95, 300};
+  constexpr std::uint32_t kCols = 120;
+  std::vector<std::uint64_t> row_ptr = {0};
+  std::vector<MatV> values;
+  std::vector<std::uint32_t> col_idx;
+  for (const std::uint64_t len : row_lengths) {
+    for (std::uint64_t k = 0; k < len; ++k) {
+      values.push_back(static_cast<MatV>(rng.uniform(-1.0, 2.0)));
+      // Each row starts at column 0, whose entries are -0.0: a first product
+      // of -0.0 must still become +0.0 (Acc{} + v*x).
+      col_idx.push_back(
+          k == 0 ? 0 : static_cast<std::uint32_t>(rng.uniform_index(kCols)));
+    }
+    row_ptr.push_back(values.size());
+  }
+  for (std::size_t batch = 1; batch <= 17; ++batch) {
+    std::vector<Acc> x_int(kCols * batch);
+    for (Acc& v : x_int) {
+      v = static_cast<Acc>(rng.uniform(-2.0, 2.0));
+    }
+    std::fill_n(x_int.begin(), batch, Acc{-0.0});
+    std::vector<std::vector<Acc>> columns(batch, std::vector<Acc>(kCols));
+    for (std::size_t c = 0; c < kCols; ++c) {
+      for (std::size_t j = 0; j < batch; ++j) {
+        columns[j][c] = x_int[c * batch + j];
+      }
+    }
+    for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+      const std::uint64_t start = row_ptr[r];
+      const std::uint64_t end = row_ptr[r + 1];
+      std::vector<Acc> expected(batch);
+      for (std::size_t j = 0; j < batch; ++j) {
+        expected[j] = native_row_product(values.data(), col_idx.data(),
+                                         columns[j].data(), start, end);
+      }
+      const auto check = [&](const char* body, auto run) {
+        std::vector<Acc> acc(gpusim::kWarpSize * batch, Acc{3});
+        std::vector<Acc> out(batch, Acc{-7});
+        run(acc.data(), out.data());
+        for (std::size_t j = 0; j < batch; ++j) {
+          EXPECT_EQ(bits_of(out[j]), bits_of(expected[j]))
+              << body << " body, width " << batch << ", row of "
+              << end - start << " nnz, column " << j;
+        }
+      };
+      check("baseline", [&](Acc* acc, Acc* out) {
+        native_row_product_batch_body(values.data(), col_idx.data(),
+                                      x_int.data(), batch, start, end, acc,
+                                      out);
+      });
+#if defined(PD_X86_DISPATCH)
+      if (kHaveAvx2) {
+        check("avx2", [&](Acc* acc, Acc* out) {
+          native_row_product_batch_avx2(values.data(), col_idx.data(),
+                                        x_int.data(), batch, start, end, acc,
+                                        out);
+        });
+      }
+#endif
+    }
+  }
+}
+
+TEST(NativeBackend, BatchBodiesMatchLoopedRowProduct) {
+  expect_batch_bodies_match_looped_rows<double, Half>();
+  expect_batch_bodies_match_looped_rows<float, float>();
+  expect_batch_bodies_match_looped_rows<double, double>();
 }
 
 /// Non-vector families fall back to looped single products inside

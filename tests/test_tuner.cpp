@@ -1,11 +1,11 @@
 // Fast-tier autotuner suite (kernels/tuner.hpp, docs/fast_tier.md).
 //
 // Pins the autotuner's three contracts:
-//  (a) decision table — choose_fast_format picks the fewest streamed bytes
-//      with the documented tie order (rsformat > quantized SELL > float
-//      SELL), and degrades to the two-way choice when quantized is
+//  (a) decision table — fast_candidate_order ranks the fewest streamed
+//      bytes first with the documented tie order (rsformat > quantized SELL
+//      > float SELL), and degrades to the two-way choice when quantized is
 //      unavailable;
-//  (b) determinism — trials == 0 (the CI pin, PROTONDOSE_TUNER_TRIALS=0)
+//  (b) determinism — trials == 0 (the CI pin, `tune --fast --trials 0`)
 //      runs the byte model only, so repeated tunes of the same matrix make
 //      the same decision; measured runs still return a valid config;
 //  (c) safety — tuning and applying a config never perturbs Tier::kBitwise
@@ -17,8 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <algorithm>
 #include <vector>
 
 #include "cases/cases.hpp"
@@ -72,16 +71,34 @@ TEST(TunerDecisionTable, PicksFewestBytesWithDocumentedTieOrder) {
       {100, 100, 0, FastFormat::kRsFormat},     // two-way tie -> rsformat
   };
   for (const Row& row : rows) {
-    const FastFormatChoice c = choose_fast_format(row.rs, row.sell, row.sellq);
-    EXPECT_EQ(c.format, row.expect)
+    // One candidate per container, the SELL ones at the same geometry; an
+    // unavailable quantized container has no candidate at all.
+    const auto candidate = [](FastFormat format, std::uint64_t bytes) {
+      TuneCandidate c;
+      c.format = format;
+      c.streamed_bytes = bytes;
+      if (format != FastFormat::kRsFormat) {
+        c.sell_c = 32;
+        c.sell_sigma = 1024;
+      }
+      return c;
+    };
+    std::vector<TuneCandidate> cands = {
+        candidate(FastFormat::kSellCs, row.sell),
+        candidate(FastFormat::kRsFormat, row.rs)};
+    if (row.sellq != 0) {
+      cands.push_back(candidate(FastFormat::kSellCsQ, row.sellq));
+    }
+    const TuneCandidate& best =
+        *std::min_element(cands.begin(), cands.end(), fast_candidate_order);
+    EXPECT_EQ(best.format, row.expect)
         << "rs=" << row.rs << " sell=" << row.sell << " sellq=" << row.sellq;
     const std::uint64_t expect_bytes = row.expect == FastFormat::kRsFormat
                                            ? row.rs
                                        : row.expect == FastFormat::kSellCsQ
                                            ? row.sellq
                                            : row.sell;
-    EXPECT_EQ(c.chosen_bytes(), expect_bytes);
-    EXPECT_EQ(c.prefer_rsformat(), row.expect == FastFormat::kRsFormat);
+    EXPECT_EQ(best.streamed_bytes, expect_bytes);
   }
 }
 
@@ -133,22 +150,10 @@ TEST(TunerDeterminism, ModelModeIsReproducible) {
   EXPECT_LT(a.streamed_bytes, engine.stored_matrix_as_double().bytes());
 }
 
-TEST(TunerDeterminism, EnvPinOverridesTrials) {
-  ::setenv("PROTONDOSE_TUNER_TRIALS", "0", 1);
-  const TuneOptions opts = tune_options_from_env();
-  ::unsetenv("PROTONDOSE_TUNER_TRIALS");
-  EXPECT_EQ(opts.trials, 0u);
-  ::setenv("PROTONDOSE_TUNER_TRIALS", "7", 1);
-  const TuneOptions opts7 = tune_options_from_env();
-  ::unsetenv("PROTONDOSE_TUNER_TRIALS");
-  EXPECT_EQ(opts7.trials, 7u);
-}
-
 TEST(TunerDeterminism, MeasuredModeReturnsAValidConfig) {
   DoseEngine engine = make_engine();
   TuneOptions opts;
   opts.trials = 1;
-  opts.probe_batch = 4;
   const TunedConfig config = autotune_fast_tier(engine, opts);
   EXPECT_NE(config.format, FastFormat::kAuto);  // always a concrete format
   EXPECT_GT(config.streamed_bytes, 0u);
@@ -160,10 +165,6 @@ TEST(TunerDeterminism, MeasuredModeReturnsAValidConfig) {
     any_measured = any_measured || c.measured;
   }
   EXPECT_TRUE(any_measured);
-  if (config.format == FastFormat::kRsFormat) {
-    // The batch probe ran; width 1 (no win) or the probed width.
-    EXPECT_TRUE(config.batch_width == 1 || config.batch_width == 4);
-  }
 }
 
 // --- (c) safety --------------------------------------------------------------

@@ -146,32 +146,19 @@ int run_spmv_fast_tier(const pd::CliParser& cli,
   using FastFormat = pd::kernels::DoseEngine::FastFormat;
 
   engine.set_backend(pd::kernels::DoseEngine::Backend::kNative);
-  engine.set_native_threads(static_cast<unsigned>(cli.get_int("threads")));
+  const auto threads = static_cast<unsigned>(cli.get_int("threads"));
+  engine.set_native_threads(threads);
   const std::vector<double> bitwise_dose = engine.compute(weights);
 
   const std::string fmt_str = cli.get("format");
   FastFormat fmt;
-  std::string fmt_name = fmt_str;
   if (fmt_str == "auto") {
-    engine.set_tier(Tier::kFast, FastFormat::kRsFormat);
-    engine.set_tier(Tier::kFast, FastFormat::kSellCs);
-    std::uint64_t sellq_bytes = 0;
-    try {
-      engine.set_tier(Tier::kFast, FastFormat::kSellCsQ);
-      sellq_bytes =
-          pd::kernels::sellcs_q_streamed_bytes(engine.fast_sellq_matrix());
-    } catch (const pd::Error&) {
-      // Quantized container unavailable (negative values or > 2^16 spots);
-      // the three-way choice degrades to the float pair.
-    }
-    const auto choice = pd::kernels::choose_fast_format(
-        pd::kernels::rsformat_streamed_bytes(engine.fast_rs_matrix()),
-        pd::kernels::sellcs_streamed_bytes(engine.fast_sell_matrix()),
-        sellq_bytes);
-    fmt = choice.format;
-    fmt_name = choice.format == FastFormat::kRsFormat ? "rsformat"
-               : choice.format == FastFormat::kSellCsQ ? "sellcsq"
-                                                       : "sellcs";
+    // The tuner is the fast tier's one format chooser; a model-only tune is
+    // what EngineCache applies to autotuned plans.  --threads still holds.
+    pd::kernels::apply_tuned(
+        engine, pd::kernels::autotune_fast_tier(engine, {.trials = 0}));
+    engine.set_fast_threads(threads);
+    fmt = FastFormat::kAuto;
   } else if (fmt_str == "rsformat") {
     fmt = FastFormat::kRsFormat;
   } else if (fmt_str == "sellcs") {
@@ -183,6 +170,7 @@ int run_spmv_fast_tier(const pd::CliParser& cli,
                     "' (expected rsformat, sellcs, sellcsq, or auto)");
   }
   engine.set_tier(Tier::kFast, fmt);
+  fmt = engine.fast_format();
 
   const std::uint64_t csr_bytes = engine.stored_matrix_as_double().bytes();
   const std::uint64_t fast_bytes =
@@ -215,10 +203,10 @@ int run_spmv_fast_tier(const pd::CliParser& cli,
   }
 
   pd::TextTable t({"quantity", "value"});
-  t.add_row({"tier", "fast (" + fmt_name + ", " + variant + ")"});
+  t.add_row({"tier", std::string("fast (") + to_string(fmt) + ", " +
+                         variant + ")"});
   t.add_row({"mode", mode_str});
-  t.add_row({"native threads",
-             std::to_string(engine.native_threads())});
+  t.add_row({"native threads", std::to_string(engine.native_threads())});
   t.add_row({"wall-clock / product", pd::fmt_sci(best_s, 3) + " s"});
   t.add_row({"streamed bytes",
              pd::fmt_bytes(static_cast<double>(fast_bytes)) + " vs " +
@@ -301,7 +289,7 @@ int cmd_spmv(int argc, const char* const* argv) {
                  "docs/fast_tier.md)");
   cli.add_option("format", "rsformat",
                  "fast-tier container: rsformat, sellcs, sellcsq, or auto "
-                 "(fewest streamed bytes wins)");
+                 "(the autotuner's byte-model choice)");
   cli.add_option("threads", "1",
                  "native threads for the fast tier (0 = all hardware)");
   cli.add_option("batch", "1",
@@ -459,8 +447,8 @@ int cmd_roofline(int argc, const char* const* argv) {
 
 // `tune --fast`: run the measurement-driven fast-tier autotuner
 // (kernels/tuner.hpp) and print the winning TunedConfig plus the candidate
-// table.  --trials 0 pins the fully deterministic byte-model mode (the same
-// pin CI uses via PROTONDOSE_TUNER_TRIALS).
+// table.  --trials 0 pins the fully deterministic byte-model mode (the mode
+// CI runs twice and diffs).
 int run_tune_fast_tier(const pd::CliParser& cli) {
   pd::kernels::DoseEngine engine(
       load_or_generate(cli), device_by_name(cli.get("device")),
@@ -468,38 +456,20 @@ int run_tune_fast_tier(const pd::CliParser& cli) {
       pd::kernels::kDefaultVectorTpb, pd::kernels::SpmvFamily::kVector,
       pd::kernels::DoseEngine::Backend::kNative);
 
-  pd::kernels::TuneOptions opts = pd::kernels::tune_options_from_env();
-  const int trials = cli.get_int("trials");
-  if (trials >= 0) {
-    opts.trials = static_cast<unsigned>(trials);
+  const std::int64_t trials = cli.get_int("trials");
+  if (trials < 0) {
+    throw pd::Error("--trials must be >= 0");
   }
-  opts.probe_batch = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("batch")));
-  const pd::kernels::TunedConfig config =
-      pd::kernels::autotune_fast_tier(engine, opts);
-
-  const auto fmt_name = [](pd::kernels::DoseEngine::FastFormat f) {
-    switch (f) {
-      case pd::kernels::DoseEngine::FastFormat::kRsFormat: return "rsformat";
-      case pd::kernels::DoseEngine::FastFormat::kSellCs: return "sellcs";
-      case pd::kernels::DoseEngine::FastFormat::kSellCsQ: return "sellcsq";
-      case pd::kernels::DoseEngine::FastFormat::kAuto: return "auto";
-    }
-    return "?";
-  };
+  const pd::kernels::TunedConfig config = pd::kernels::autotune_fast_tier(
+      engine, {.trials = static_cast<unsigned>(trials)});
 
   pd::TextTable t({"quantity", "value"});
-  t.add_row({"chosen format", fmt_name(config.format)});
+  t.add_row({"chosen format", to_string(config.format)});
   if (config.format != pd::kernels::DoseEngine::FastFormat::kRsFormat) {
     t.add_row({"chunk height C", std::to_string(config.sell_c)});
     t.add_row({"sort window sigma", std::to_string(config.sell_sigma)});
   }
   t.add_row({"fast threads", std::to_string(config.fast_threads)});
-  t.add_row({"batch width", std::to_string(config.batch_width)});
-  if (config.batched_speedup > 0.0) {
-    t.add_row({"batched speedup",
-               pd::fmt_double(config.batched_speedup, 2) + "x"});
-  }
   t.add_row({"streamed bytes",
              pd::fmt_bytes(static_cast<double>(config.streamed_bytes))});
   if (config.us_per_product > 0.0) {
@@ -511,7 +481,7 @@ int run_tune_fast_tier(const pd::CliParser& cli) {
 
   pd::TextTable c({"candidate", "streamed bytes", "us/product"});
   for (const pd::kernels::TuneCandidate& cand : config.candidates) {
-    std::string name = fmt_name(cand.format);
+    std::string name = to_string(cand.format);
     if (cand.format != pd::kernels::DoseEngine::FastFormat::kRsFormat) {
       name += " C=" + std::to_string(cand.sell_c) +
               " sigma=" + std::to_string(cand.sell_sigma);
@@ -533,12 +503,9 @@ int cmd_tune(int argc, const char* const* argv) {
   cli.add_option("device", "a100", "simulated device: a100, v100, p100");
   cli.add_flag("fast", "autotune the fast tier (docs/fast_tier.md) instead "
                        "of sweeping threads-per-block");
-  cli.add_option("trials", "-1",
+  cli.add_option("trials", std::to_string(pd::kernels::TuneOptions{}.trials),
                  "--fast: measurement repeats per candidate (0 = "
-                 "deterministic byte-model only; -1 = PROTONDOSE_TUNER_TRIALS "
-                 "or default)");
-  cli.add_option("batch", "1",
-                 "--fast: probe a K-wide batched launch for the tuned config");
+                 "deterministic byte-model only)");
   if (!cli.parse(argc, argv)) return 0;
 
   if (cli.get_flag("fast")) {
